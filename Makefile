@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race race-telemetry vet bench bench-serve bench-flush bench-farm bench-cluster farm-smoke cluster-smoke metrics-smoke overload-smoke scenario-smoke ppr-smoke bench-ppr drain-smoke tenant-smoke bench-tenants experiments clean
+.PHONY: all build test short race race-telemetry vet bench bench-check bench-serve bench-flush bench-farm bench-cluster farm-smoke cluster-smoke metrics-smoke overload-smoke scenario-smoke ppr-smoke bench-ppr drain-smoke tenant-smoke bench-tenants experiments clean
 
 all: vet test
 
@@ -24,8 +24,20 @@ race-telemetry:
 vet:
 	$(GO) vet ./...
 
+# Root-package benchmarks, then the serving kernel on ask_cold's own graph
+# (4045 nodes, 64 030 edges, 2000 candidates, K = 10, L = 4): the sweep
+# alone (ScoresSeeded) beside what an uncached ask pays (RankSeeded), with
+# no daemon booted.
 bench:
 	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkRankSeeded|BenchmarkScoresSeeded' -benchmem ./internal/pathidx/
+
+# The repo benchmark (bench/, its own module) is built only when the
+# benchmark runs, so `go vet ./...` and `go test ./...` never see it. This
+# vets it and runs its unit tests (< 1 s) against the current tree.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench -short ./...
 
 # Serving-path benchmark: legacy serialized ask vs lock-free snapshot
 # ranking. Writes qps, p50/p99 latency, and allocs/op to BENCH_serve.json.

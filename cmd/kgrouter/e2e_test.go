@@ -181,7 +181,11 @@ func TestClusterEndToEnd(t *testing.T) {
 		"-map", mapPath,
 		"-shards", addrs[0]+","+addrs[1]+","+addrs[2],
 		"-replicas", "0="+replicaAddr,
-		"-k", "48", "-probe-every", "200ms", "-hedge-after", "50ms")
+		"-k", "48", "-probe-every", "200ms", "-hedge-after", "50ms",
+		// A batch-1 vote flushes (an SGP solve) inside the routed request;
+		// on a loaded two-core box that has outlasted the default 5s
+		// fan-out deadline and failed the vote as "writer unreachable".
+		"-timeout", "30s")
 
 	// Healthy cluster: asks merge all three shards.
 	ask, resp := askRouter(t, base)

@@ -96,7 +96,9 @@ func (s *GraphSnapshot) RankSeededCached(cacheKey string, ids []graph.NodeID, ws
 		}
 	}
 	if s.push != nil {
-		if ranked, ok := s.rankPush(cacheKey, ids, ws, candidates, k); ok {
+		// An error (stale epoch, invalid seeds) sends the ask to the
+		// exact enumerator below.
+		if ranked, _, err := s.push.RankSeeded(cacheKey, s.csr, s.csr.Epoch(), ids, ws, candidates, k); err == nil {
 			s.cacheAdd(cacheKey, ids, ranked)
 			return ranked, false, nil
 		}
@@ -109,20 +111,6 @@ func (s *GraphSnapshot) RankSeededCached(cacheKey string, ids []graph.NodeID, ws
 	}
 	s.cacheAdd(cacheKey, ids, ranked)
 	return ranked, false, nil
-}
-
-// rankPush ranks through the incremental push tracker; ok=false sends
-// the caller to the exact enumerator.
-func (s *GraphSnapshot) rankPush(cacheKey string, ids []graph.NodeID, ws []float64, candidates []graph.NodeID, k int) ([]pathidx.Ranked, bool) {
-	rs, _, err := s.push.RankSeeded(cacheKey, s.csr, s.csr.Epoch(), ids, ws, candidates, k)
-	if err != nil {
-		return nil, false
-	}
-	out := make([]pathidx.Ranked, len(rs))
-	for i, r := range rs {
-		out[i] = pathidx.Ranked{Node: r.Node, Score: r.Score}
-	}
-	return out, true
 }
 
 // cacheAdd stores a fresh ranking under its key together with a copy of

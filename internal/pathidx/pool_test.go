@@ -162,26 +162,3 @@ func TestScorerPoolConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestRankSeededIntoZeroAlloc asserts the steady-state scoring loop
-// allocates nothing once buffers are warm.
-func TestRankSeededIntoZeroAlloc(t *testing.T) {
-	g, _, answers, seedIDs, seedWs := seedGraph(t)
-	pool, err := NewScorerPool(graph.Compile(g), Options{L: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := pool.Get()
-	defer pool.Put(sc)
-	buf := make([]Ranked, 0, len(answers))
-	allocs := testing.AllocsPerRun(100, func() {
-		var err error
-		buf, err = sc.RankSeededInto(buf[:0], seedIDs, seedWs, answers, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state scoring allocates %.1f per op, want 0", allocs)
-	}
-}

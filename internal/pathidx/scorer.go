@@ -2,9 +2,9 @@ package pathidx
 
 import (
 	"fmt"
-	"slices"
 
 	"kgvote/internal/graph"
+	"kgvote/internal/topk"
 )
 
 // Scorer computes truncated extended inverse P-distances for every node in
@@ -157,12 +157,9 @@ func (s *Scorer) SumTopK(source graph.NodeID, candidates []graph.NodeID, k int) 
 	return sum, nil
 }
 
-// Ranked mirrors ppr.Ranked to avoid an import cycle at the call sites
-// that only need pathidx.
-type Ranked struct {
-	Node  graph.NodeID
-	Score float64
-}
+// Ranked is the ranked-answer entry every backend returns (ppr.Ranked is
+// the same type).
+type Ranked = topk.Ranked
 
 // Rank scores every candidate and returns the top-k list (descending
 // score, ties by node ID). k ≤ 0 returns all candidates.
@@ -171,36 +168,5 @@ func (s *Scorer) Rank(source graph.NodeID, candidates []graph.NodeID, k int) ([]
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Ranked, 0, len(candidates))
-	for _, cand := range candidates {
-		var v float64
-		if int(cand) >= 0 && int(cand) < len(sc) {
-			v = sc[cand]
-		}
-		out = append(out, Ranked{Node: cand, Score: v})
-	}
-	sortRanked(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out, nil
-}
-
-// sortRanked orders descending by score, ties by node ID. It uses the
-// generic stable sort so the serving path's hot loop stays allocation-free
-// (sort.SliceStable's reflection-based swapper allocates).
-func sortRanked(rs []Ranked) {
-	slices.SortStableFunc(rs, func(a, b Ranked) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		case a.Node < b.Node:
-			return -1
-		case a.Node > b.Node:
-			return 1
-		}
-		return 0
-	})
+	return topk.FromScores(nil, sc, candidates, k), nil
 }

@@ -12,9 +12,9 @@ package ppr
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"kgvote/internal/graph"
+	"kgvote/internal/topk"
 )
 
 // DefaultC is the restart probability used throughout the paper (c ≈ 0.15).
@@ -146,34 +146,15 @@ func GaussSeidel(g *graph.Graph, source graph.NodeID, opt Options) ([]float64, i
 	return pi, iter, nil
 }
 
-// Ranked is one entry of a ranked answer list.
-type Ranked struct {
-	Node  graph.NodeID
-	Score float64
-}
+// Ranked is one entry of a ranked answer list (pathidx.Ranked is the
+// same type).
+type Ranked = topk.Ranked
 
 // TopK ranks the candidate nodes by their entries in the score vector,
 // descending, breaking ties by node ID for determinism, and returns at
 // most k entries. k ≤ 0 means all candidates.
 func TopK(scores []float64, candidates []graph.NodeID, k int) []Ranked {
-	out := make([]Ranked, 0, len(candidates))
-	for _, c := range candidates {
-		var s float64
-		if int(c) >= 0 && int(c) < len(scores) {
-			s = scores[c]
-		}
-		out = append(out, Ranked{Node: c, Score: s})
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Node < out[j].Node
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return topk.FromScores(nil, scores, candidates, k)
 }
 
 // Walker evaluates query→answer similarity the way the paper's baseline

@@ -3,9 +3,9 @@ package ppr
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"kgvote/internal/graph"
+	"kgvote/internal/topk"
 )
 
 // This file implements the forward local-push solver for the truncated
@@ -315,24 +315,5 @@ func (st *PushState) Pushes() int64 { return st.pushes }
 // Rank returns the top-k candidates by estimated score (descending,
 // ties by node ID — the same order as pathidx and TopK). k ≤ 0 keeps all.
 func (st *PushState) Rank(candidates []graph.NodeID, k int) []Ranked {
-	out := make([]Ranked, 0, len(candidates))
-	for _, c := range candidates {
-		out = append(out, Ranked{Node: c, Score: st.scores[c]})
-	}
-	sortRankedStable(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// sortRankedStable orders descending by score, ties by node ID —
-// TopK's comparator, so every backend ranks identically.
-func sortRankedStable(rs []Ranked) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
-		}
-		return rs[i].Node < rs[j].Node
-	})
+	return topk.Select(nil, candidates, k, st.Score)
 }

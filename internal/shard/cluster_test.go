@@ -130,10 +130,12 @@ func newTestCluster(t *testing.T, corpus *qa.Corpus, n int) *testCluster {
 		eps[i] = shard.ShardEndpoints{Writer: tc.https[i].URL}
 	}
 	rt, err := shard.NewRouter(shard.RouterOptions{
-		Map:        smap,
-		Shards:     eps,
-		TopK:       testOptions().K,
-		Timeout:    5 * time.Second,
+		Map:    smap,
+		Shards: eps,
+		TopK:   testOptions().K,
+		// Routed votes flush inside the request; the default 5s deadline
+		// is too tight for a solve on a loaded box.
+		Timeout:    30 * time.Second,
 		HedgeAfter: 50 * time.Millisecond,
 	})
 	if err != nil {
