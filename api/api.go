@@ -1,8 +1,8 @@
 // Package api defines the wire contract of the kgvote HTTP service: the
 // request and response bodies of every /v1 endpoint, the uniform error
 // envelope, and the machine-readable error codes. It is the single source
-// of truth shared by the server (internal/server), the load generator
-// (cmd/benchserve), the thin HTTP client (api/client), and the examples.
+// of truth shared by the server (internal/server), the benchmark's load
+// generator (bench/), the thin HTTP client (api/client), and the examples.
 //
 // Versioning: all routes are mounted under the /v1 prefix. The
 // unprefixed legacy paths (/ask, /vote, ...) are deprecated aliases that

@@ -71,6 +71,7 @@ func realMain(run string, seed int64, scale float64, paper bool, format string) 
 		{"ablation-scorer", func() (harness.Table, error) { return harness.AblationScorer(cfg) }},
 		{"ablation-normalize", func() (harness.Table, error) { return harness.AblationNormalize(cfg) }},
 		{"ablation-cluster", func() (harness.Table, error) { return harness.AblationCluster(cfg) }},
+		{"ablation-quarantine", func() (harness.Table, error) { return harness.AblationQuarantine(cfg) }},
 	}
 
 	match := func(name string) bool {

@@ -47,7 +47,6 @@ import (
 	"kgvote/internal/qa"
 	"kgvote/internal/server"
 	"kgvote/internal/shard"
-	"kgvote/internal/solvefarm"
 	"kgvote/internal/synth"
 	"kgvote/internal/telemetry"
 	"kgvote/internal/vote"
@@ -64,7 +63,6 @@ type config struct {
 	solverName string
 	statePath  string
 	workers    int
-	solvers    string
 
 	scorer      string
 	pushRMax    float64
@@ -110,7 +108,6 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for the synthetic corpus")
 	flag.StringVar(&cfg.solverName, "solver", "multi", "batch solver: multi, sm, or single")
 	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "flush-pipeline concurrency: enumeration, judgment, clustering, and per-cluster solves fan out over this many goroutines")
-	flag.StringVar(&cfg.solvers, "solvers", "", "comma-separated kgsolved addresses (host:port,...): dispatch split-and-merge cluster solves to the farm, with retry, hedged stragglers, and in-process fallback")
 	flag.StringVar(&cfg.scorer, "scorer", "enum", "serving scorer backend: enum (exact bounded-walk sweeps) or push (incremental local push, repaired in O(delta) per flush; DESIGN.md §16)")
 	flag.Float64Var(&cfg.pushRMax, "push-rmax", 0, "push-backend residual-drop threshold (0 = default 1e-6, negative = exact); smaller tightens the certified bound and costs more pushes")
 	flag.IntVar(&cfg.pushTracked, "push-tracked", 0, "push-backend cap on incrementally maintained seed sets (0 = default 256)")
@@ -260,16 +257,6 @@ func serve(cfg config) error {
 			log.Printf("kgvoted: initialized data directory %s", cfg.dataDir)
 		}
 	}
-	if cfg.solvers != "" {
-		addrs := splitAddrs(cfg.solvers)
-		disp, err := solvefarm.New(solvefarm.Options{Workers: addrs, Reg: reg})
-		if err != nil {
-			return err
-		}
-		defer disp.Close()
-		sys.Engine.SetClusterSolver(disp)
-		log.Printf("kgvoted: dispatching cluster solves to %d workers (%s)", len(addrs), strings.Join(addrs, ", "))
-	}
 	// The pusher needs the server's export hook and the server needs the
 	// pusher's publish hook; break the cycle with a late-bound srv.
 	var srv *server.Server
@@ -387,7 +374,7 @@ func normalizeURL(s string) string {
 	return strings.TrimRight(s, "/")
 }
 
-// splitAddrs parses the -solvers list, tolerating spaces and empty items.
+// splitAddrs parses a comma-separated list, tolerating spaces and empty items.
 func splitAddrs(s string) []string {
 	var out []string
 	for _, a := range strings.Split(s, ",") {

@@ -19,7 +19,6 @@ import (
 	"kgvote/internal/pathidx"
 	"kgvote/internal/qa"
 	"kgvote/internal/server"
-	"kgvote/internal/solvefarm"
 	"kgvote/internal/telemetry"
 	"kgvote/internal/tenant"
 	"kgvote/internal/vote"
@@ -67,14 +66,6 @@ func serveTenants(cfg config) error {
 	var reg *telemetry.Registry
 	if cfg.metrics {
 		reg = telemetry.NewRegistry()
-	}
-	var disp *solvefarm.Dispatcher
-	if cfg.solvers != "" {
-		addrs := splitAddrs(cfg.solvers)
-		if disp, err = solvefarm.New(solvefarm.Options{Workers: addrs, Reg: reg}); err != nil {
-			return err
-		}
-		defer disp.Close()
 	}
 	queueCap := cfg.tenantQueueCap
 	if queueCap <= 0 {
@@ -135,9 +126,6 @@ func serveTenants(cfg config) error {
 					return nil, nil, err
 				}
 			}
-		}
-		if disp != nil {
-			sys.Engine.SetClusterSolver(disp)
 		}
 		var repCfg *vote.ReputationConfig
 		if cfg.reputation {

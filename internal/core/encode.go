@@ -49,11 +49,11 @@ func (e *Engine) similaritySignomial(p *sgp.Program, query graph.NodeID, paths [
 // as a hard constraint (Equation (11), single-vote) or a soft constraint
 // with a deviation variable (Equation (15), multi-vote). It returns the
 // number of constraints added.
-func (e *Engine) encodeVote(p *sgp.Program, v vote.Vote, soft bool, fc *flushEnum, b *signomial.Builder) (int, error) {
+func (e *Engine) encodeVote(p *sgp.Program, v vote.Vote, soft bool, fc *pathidx.EnumCache, b *signomial.Builder) (int, error) {
 	if err := v.Validate(); err != nil {
 		return 0, err
 	}
-	paths, err := fc.paths(e, v.Query, v.Ranked)
+	paths, err := fc.Paths(v.Query, v.Ranked)
 	if err != nil {
 		return 0, err
 	}
@@ -175,8 +175,8 @@ func extractChanges(p *sgp.Program, x []float64) map[graph.EdgeKey]float64 {
 // bestReachable reports whether any walk of length ≤ L reaches the vote's
 // best answer. Votes whose best answer is unreachable cannot be encoded
 // meaningfully (their similarity signomial is identically zero).
-func (e *Engine) bestReachable(v vote.Vote, fc *flushEnum) (bool, error) {
-	paths, err := fc.paths(e, v.Query, []graph.NodeID{v.Best})
+func (e *Engine) bestReachable(v vote.Vote, fc *pathidx.EnumCache) (bool, error) {
+	paths, err := fc.Paths(v.Query, []graph.NodeID{v.Best})
 	if err != nil {
 		return false, err
 	}
@@ -185,7 +185,7 @@ func (e *Engine) bestReachable(v vote.Vote, fc *flushEnum) (bool, error) {
 
 // judge applies the Section V judgment algorithm to one vote, reusing the
 // flush's cached walk sets when available.
-func (e *Engine) judge(v vote.Vote, fc *flushEnum) (bool, error) {
+func (e *Engine) judge(v vote.Vote, fc *pathidx.EnumCache) (bool, error) {
 	if fc == nil {
 		return vote.Judge(e.g, v, e.opt.ExtremeConst, e.opt.pathOptions())
 	}
@@ -197,7 +197,7 @@ func (e *Engine) judge(v vote.Vote, fc *flushEnum) (bool, error) {
 	}
 	rank := v.BestRank()
 	rival := v.Ranked[rank-2]
-	paths, err := fc.paths(e, v.Query, []graph.NodeID{v.Best, rival})
+	paths, err := fc.Paths(v.Query, []graph.NodeID{v.Best, rival})
 	if err != nil {
 		return false, err
 	}
@@ -208,7 +208,7 @@ func (e *Engine) judge(v vote.Vote, fc *flushEnum) (bool, error) {
 // judgment algorithm, fanning the per-vote judgments out over
 // Options.Workers. Positive votes always pass. The partition preserves
 // input order regardless of worker scheduling.
-func (e *Engine) filterVotes(votes []vote.Vote, fc *flushEnum) (kept, discarded []vote.Vote, err error) {
+func (e *Engine) filterVotes(votes []vote.Vote, fc *pathidx.EnumCache) (kept, discarded []vote.Vote, err error) {
 	oks := make([]bool, len(votes))
 	err = runIndexed(e.opt.Workers, len(votes), func(i int) error {
 		ok, err := e.judge(votes[i], fc)

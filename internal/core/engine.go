@@ -36,8 +36,7 @@ type Engine struct {
 	metrics *Metrics
 
 	// clusterSolver, when non-nil, replaces the in-process solve of each
-	// split-and-merge cluster program (see SetClusterSolver); the solve
-	// farm's dispatcher plugs in here.
+	// finished program (see SetClusterSolver).
 	clusterSolver ClusterSolver
 
 	// push, set when Options.Scorer == pathidx.BackendPush, is the

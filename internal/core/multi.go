@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"kgvote/internal/pathidx"
 	"kgvote/internal/signomial"
 	"kgvote/internal/vote"
 )
@@ -71,8 +72,7 @@ func (e *Engine) SolveMultiCtx(ctx context.Context, votes []vote.Vote) (*Report,
 	}
 	e.addCapacityConstraints(p)
 	// The whole-batch program goes through the cluster solver like any
-	// split-and-merge cluster: an injected farm dispatcher ships it to a
-	// worker (freeing the writer's cores), the default solves in process.
+	// split-and-merge cluster, so an injected solver sees every program.
 	sol, err := e.solver().SolveProgram(ctx, p, e.solveParams())
 	if err != nil {
 		return nil, err
@@ -103,7 +103,7 @@ func (e *Engine) SolveMultiCtx(ctx context.Context, votes []vote.Vote) (*Report,
 
 // finishFlush folds the flush's enumeration-cache counters into the
 // report and publishes the pipeline's stage telemetry.
-func (e *Engine) finishFlush(report *Report, fc *flushEnum) {
-	report.EnumCacheHits, report.EnumCacheMisses = fc.stats()
+func (e *Engine) finishFlush(report *Report, fc *pathidx.EnumCache) {
+	report.EnumCacheHits, report.EnumCacheMisses = fc.Hits(), fc.Misses()
 	e.metrics.observeFlushStages(report)
 }

@@ -84,10 +84,6 @@ type Options struct {
 	// per-cluster solves of the split-and-merge strategy ("distributed"
 	// variant when > 1) all fan out over this many pool workers.
 	Workers int
-	// NoEnumCache disables the per-flush walk-enumeration cache, restoring
-	// the legacy up-to-three-enumerations-per-vote flush path. Benchmark /
-	// ablation knob: the flush benchmark uses it as the baseline.
-	NoEnumCache bool
 	// Mode selects the SGP solving strategy for multi-vote programs.
 	Mode sgp.Mode
 	// Normalize selects the post-solve normalization.

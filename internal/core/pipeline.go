@@ -55,30 +55,6 @@ func runIndexed(workers, n int, fn func(i int) error) error {
 	return nil
 }
 
-// flushEnum is the per-flush view of the enumeration cache. A nil
-// *flushEnum (Options.NoEnumCache, ablation/benchmark baseline) falls
-// back to direct enumeration at every call site, reproducing the legacy
-// up-to-three-DFS-per-vote behavior.
-type flushEnum struct {
-	cache *pathidx.EnumCache
-}
-
-// paths returns the walks from source to each target, cached per flush.
-func (f *flushEnum) paths(e *Engine, source graph.NodeID, targets []graph.NodeID) (map[graph.NodeID][]pathidx.Path, error) {
-	if f == nil {
-		return pathidx.Enumerate(e.g, source, targets, e.opt.pathOptions())
-	}
-	return f.cache.Paths(source, targets)
-}
-
-// stats reports the cache's hit/miss counters (zero without a cache).
-func (f *flushEnum) stats() (hits, misses uint64) {
-	if f == nil {
-		return 0, 0
-	}
-	return f.cache.Hits(), f.cache.Misses()
-}
-
 // newFlushEnum builds the flush's enumeration cache and prewarms it: one
 // entry per distinct query node, enumerated with the union of the ranked
 // lists of every vote sharing that query. Every later pipeline stage —
@@ -86,10 +62,7 @@ func (f *flushEnum) stats() (hits, misses uint64) {
 // list) — asks for a subset of that union, so Enumerate runs exactly
 // once per (query, path-options) per flush. Prewarming fans out over
 // Options.Workers because the DFS is the most expensive per-vote step.
-func (e *Engine) newFlushEnum(votes []vote.Vote) (*flushEnum, error) {
-	if e.opt.NoEnumCache {
-		return nil, nil
-	}
+func (e *Engine) newFlushEnum(votes []vote.Vote) (*pathidx.EnumCache, error) {
 	cache, err := pathidx.NewEnumCache(e.g, e.opt.pathOptions())
 	if err != nil {
 		return nil, err
@@ -113,11 +86,11 @@ func (e *Engine) newFlushEnum(votes []vote.Vote) (*flushEnum, error) {
 	}
 	// Enumeration errors (out-of-range nodes, MaxPaths blowups) are not
 	// reported here: the stage that first needs the failed query re-runs
-	// the enumeration and surfaces the error with its legacy per-vote
-	// context ("judging vote %d: …").
+	// the enumeration and surfaces the error with its per-vote context
+	// ("judging vote %d: …").
 	_ = runIndexed(e.opt.Workers, len(queries), func(i int) error {
 		_, _ = cache.Paths(queries[i], targets[queries[i]])
 		return nil
 	})
-	return &flushEnum{cache: cache}, nil
+	return cache, nil
 }

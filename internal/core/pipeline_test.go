@@ -96,39 +96,16 @@ func TestFlushEnumeratesOncePerQuery(t *testing.T) {
 	}
 }
 
-// Disabling the cache restores the legacy multi-enumeration flush and
-// must still produce the same graph (the ablation baseline is honest).
-func TestFlushNoEnumCacheLegacyPath(t *testing.T) {
-	g, votes := regionGraph(t, 2)
-	e, err := New(g, Options{NoEnumCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := pathidx.EnumerateCalls()
-	rep, err := e.SolveSplitMerge(votes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pathidx.EnumerateCalls() - before; got <= 2 {
-		t.Errorf("legacy path enumerated only %d times; cache knob has no effect", got)
-	}
-	if rep.EnumCacheHits != 0 || rep.EnumCacheMisses != 0 {
-		t.Errorf("cache counters nonzero without a cache: %+v", rep)
-	}
-}
-
-// Golden determinism: the parallel pipeline and the enumeration cache
-// must leave the graph byte-identical to the sequential, cache-free
-// solve — same weights bitwise, same rankings.
+// Golden determinism: the parallel pipeline must leave the graph
+// byte-identical to the sequential solve — same weights bitwise.
 func TestFlushParallelMatchesSequentialBitwise(t *testing.T) {
 	type variant struct {
 		name string
 		opt  Options
 	}
 	variants := []variant{
-		{"legacy", Options{Workers: 1, NoEnumCache: true}},
-		{"cached-seq", Options{Workers: 1}},
-		{"cached-par", Options{Workers: 4}},
+		{"sequential", Options{Workers: 1}},
+		{"parallel", Options{Workers: 4}},
 	}
 	for _, solver := range []string{"multi", "sm"} {
 		weights := make([]map[graph.EdgeKey]float64, len(variants))
@@ -159,12 +136,12 @@ func TestFlushParallelMatchesSequentialBitwise(t *testing.T) {
 		}
 		for vi := 1; vi < len(variants); vi++ {
 			if len(weights[vi]) != len(weights[0]) {
-				t.Fatalf("%s/%s: edge count %d != legacy %d",
+				t.Fatalf("%s/%s: edge count %d != sequential %d",
 					solver, variants[vi].name, len(weights[vi]), len(weights[0]))
 			}
 			for k, w0 := range weights[0] {
 				if w, ok := weights[vi][k]; !ok || w != w0 {
-					t.Errorf("%s/%s: edge %v weight %v != legacy %v (bitwise)",
+					t.Errorf("%s/%s: edge %v weight %v != sequential %v (bitwise)",
 						solver, variants[vi].name, k, w, w0)
 				}
 			}

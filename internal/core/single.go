@@ -71,7 +71,7 @@ func (e *Engine) solveOneVote(ctx context.Context, v vote.Vote) (rep Report, err
 		return rep, err
 	}
 	rep.EnumSeconds = time.Since(tEnum).Seconds()
-	defer func() { rep.EnumCacheHits, rep.EnumCacheMisses = fc.stats() }()
+	defer func() { rep.EnumCacheHits, rep.EnumCacheMisses = fc.Hits(), fc.Misses() }()
 	reachable, err := e.bestReachable(v, fc)
 	if err != nil {
 		return rep, err
@@ -91,9 +91,9 @@ func (e *Engine) solveOneVote(ctx context.Context, v vote.Vote) (rep Report, err
 	}
 	e.addCapacityConstraints(p)
 	tSolve := time.Now()
-	// Routed through the cluster solver so an injected farm dispatcher
-	// offloads single-vote solves too (the Lambda overrides ride along in
-	// the serialized program; the mode override rides in the params).
+	// Routed through the cluster solver so an injected solver sees
+	// single-vote programs too (the Lambda overrides ride along in the
+	// program; the mode override rides in the params).
 	sol, err := e.solver().SolveProgram(ctx, p, sgp.Params{Mode: sgp.Full, AL: e.opt.AL})
 	if err != nil {
 		return rep, err

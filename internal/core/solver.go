@@ -11,16 +11,16 @@ import (
 // or a single vote's program.
 // The engine builds each SGP on the writer (walk enumeration,
 // judgment, encoding all need the graph); the ClusterSolver only has to
-// optimize the finished, self-contained program — which is why a remote
-// implementation (internal/solvefarm) can ship the program to a stateless
-// worker that holds no copy of the graph.
+// optimize the finished, self-contained program, so an implementation
+// needs no copy of the graph. The benchmark's replay substitutes one that
+// captures the program it is handed (bench/layers.go).
 //
 // Determinism contract: for a given program and params every
 // implementation must return the same Solution.X bit-for-bit as the
-// in-process p.Solve, so local, remote, retried, and hedged solves are
-// interchangeable and the merged flush output stays byte-identical. The
-// only sanctioned deviation is under ctx cancellation, where best-so-far
-// iterates (Solution.Stopped) are acceptable.
+// in-process p.Solve, so the merged flush output stays byte-identical
+// whichever one is installed. The only sanctioned deviation is under ctx
+// cancellation, where best-so-far iterates (Solution.Stopped) are
+// acceptable.
 //
 // Implementations must be safe for concurrent use: the split-and-merge
 // flush calls SolveProgram from Options.Workers goroutines at once.
@@ -28,8 +28,7 @@ type ClusterSolver interface {
 	SolveProgram(ctx context.Context, p *sgp.Program, params sgp.Params) (*sgp.Solution, error)
 }
 
-// localClusterSolver runs the solve in process — the default, and the
-// fallback every remote dispatcher degrades to.
+// localClusterSolver runs the solve in process — the default.
 type localClusterSolver struct{}
 
 func (localClusterSolver) SolveProgram(ctx context.Context, p *sgp.Program, params sgp.Params) (*sgp.Solution, error) {
@@ -53,8 +52,8 @@ func (e *Engine) solver() ClusterSolver {
 	return localClusterSolver{}
 }
 
-// solveParams projects the engine options onto the serializable solve
-// parameters a ClusterSolver receives.
+// solveParams projects the engine options onto the solve parameters a
+// ClusterSolver receives.
 func (e *Engine) solveParams() sgp.Params {
 	return sgp.Params{Mode: e.opt.Mode, AL: e.opt.AL}
 }

@@ -1,109 +1,12 @@
 package core
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"kgvote/internal/graph"
 	"kgvote/internal/sgp"
-	"kgvote/internal/vote"
 )
-
-// codecRoundTripSolver solves each cluster program after pushing it
-// through the farm's program codec and its solution back through the
-// solution codec — the exact transformation a remote worker applies,
-// minus the network. A flush through it must be byte-identical to the
-// in-process flush; this is the serialization half of the solve farm's
-// determinism contract, provable without sockets.
-type codecRoundTripSolver struct{ t *testing.T }
-
-func (s codecRoundTripSolver) SolveProgram(ctx context.Context, p *sgp.Program, params sgp.Params) (*sgp.Solution, error) {
-	enc := sgp.EncodeProgram(nil, p, params)
-	dec, decParams, err := sgp.DecodeProgram(enc)
-	if err != nil {
-		s.t.Fatalf("program codec: %v", err)
-	}
-	sol, err := dec.Solve(sgp.SolveOptions{Mode: decParams.Mode, AL: decParams.AL, Stop: stopFunc(ctx)})
-	if err != nil {
-		return nil, err
-	}
-	back, err := sgp.DecodeSolution(sgp.EncodeSolution(nil, sol))
-	if err != nil {
-		s.t.Fatalf("solution codec: %v", err)
-	}
-	return back, nil
-}
-
-// fourRegionVotes builds the four independent query regions of
-// TestSolveSplitMergeTwoRegions and one negative vote per region.
-func fourRegionVotes(t *testing.T) (*graph.Graph, func(*Engine) []vote.Vote) {
-	t.Helper()
-	g := graph.New(0)
-	type region struct {
-		q       graph.NodeID
-		answers []graph.NodeID
-		best    graph.NodeID
-	}
-	regions := make([]region, 4)
-	for i := range regions {
-		q := g.AddNodes(5)
-		a, b, x, y := q+1, q+2, q+3, q+4
-		g.MustSetEdge(q, a, 0.6)
-		g.MustSetEdge(q, b, 0.4)
-		g.MustSetEdge(a, x, 1)
-		g.MustSetEdge(b, y, 1)
-		regions[i] = region{q: q, answers: []graph.NodeID{x, y}, best: y}
-	}
-	collect := func(e *Engine) []vote.Vote {
-		votes := make([]vote.Vote, 0, len(regions))
-		for _, r := range regions {
-			v, err := e.CollectVote(r.q, r.answers, r.best)
-			if err != nil {
-				t.Fatal(err)
-			}
-			votes = append(votes, v)
-		}
-		return votes
-	}
-	return g, collect
-}
-
-func flushWeights(t *testing.T, g *graph.Graph, collect func(*Engine) []vote.Vote, cs ClusterSolver) map[graph.EdgeKey]float64 {
-	t.Helper()
-	e, err := New(g, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs != nil {
-		e.SetClusterSolver(cs)
-	}
-	if _, err := e.SolveSplitMerge(collect(e)); err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[graph.EdgeKey]float64)
-	g.Edges(func(from, to graph.NodeID, w float64) {
-		out[graph.EdgeKey{From: from, To: to}] = w
-	})
-	return out
-}
-
-// TestCodecRoundTripSolverMatchesLocal pins the golden determinism
-// property: a flush whose every cluster solve round-trips through the
-// farm codec produces bitwise-identical final weights.
-func TestCodecRoundTripSolverMatchesLocal(t *testing.T) {
-	g, collect := fourRegionVotes(t)
-	local := flushWeights(t, g.Clone(), collect, nil)
-	remote := flushWeights(t, g.Clone(), collect, codecRoundTripSolver{t})
-	if len(local) != len(remote) {
-		t.Fatalf("edge counts differ: %d vs %d", len(local), len(remote))
-	}
-	for k, w := range local {
-		if rw := remote[k]; rw != w {
-			t.Fatalf("edge %v: %x != %x (not bitwise identical)", k, rw, w)
-		}
-	}
-}
 
 // mergeEngine builds a minimal engine for exercising mergeDeltas
 // directly; the graph carries one known edge weight.

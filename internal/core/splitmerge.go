@@ -8,6 +8,7 @@ import (
 
 	"kgvote/internal/cluster"
 	"kgvote/internal/graph"
+	"kgvote/internal/pathidx"
 	"kgvote/internal/sgp"
 	"kgvote/internal/signomial"
 	"kgvote/internal/vote"
@@ -121,7 +122,7 @@ func (e *Engine) SolveSplitMergeCtx(ctx context.Context, votes []vote.Vote) (*Re
 // and fan out over Options.Workers; every worker writes disjoint
 // index-addressed slots, so the similarity matrix — and therefore the
 // clustering — is identical to a sequential run.
-func (e *Engine) clusterVotes(votes []vote.Vote, fc *flushEnum) ([][]vote.Vote, error) {
+func (e *Engine) clusterVotes(votes []vote.Vote, fc *pathidx.EnumCache) ([][]vote.Vote, error) {
 	if len(votes) == 1 {
 		return [][]vote.Vote{votes}, nil
 	}
@@ -183,14 +184,14 @@ func (e *Engine) clusterVotes(votes []vote.Vote, fc *flushEnum) ([][]vote.Vote, 
 
 // voteEdgeSet computes E(t) for one vote, served from the flush's walk
 // cache when available.
-func (e *Engine) voteEdgeSet(v vote.Vote, fc *flushEnum) (map[graph.EdgeKey]struct{}, error) {
+func (e *Engine) voteEdgeSet(v vote.Vote, fc *pathidx.EnumCache) (map[graph.EdgeKey]struct{}, error) {
 	if fc == nil {
 		return vote.EdgeSet(e.g, v, e.opt.pathOptions())
 	}
 	if err := v.Validate(); err != nil {
 		return nil, err
 	}
-	paths, err := fc.paths(e, v.Query, v.Ranked)
+	paths, err := fc.Paths(v.Query, v.Ranked)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +202,7 @@ func (e *Engine) voteEdgeSet(v vote.Vote, fc *flushEnum) (map[graph.EdgeKey]stru
 // votes against the engine's current graph, returning weight deltas
 // relative to the current weights. The graph is only read, never written,
 // so cluster solves can run concurrently.
-func (e *Engine) solveCluster(ctx context.Context, votes []vote.Vote, fc *flushEnum) (clusterResult, error) {
+func (e *Engine) solveCluster(ctx context.Context, votes []vote.Vote, fc *pathidx.EnumCache) (clusterResult, error) {
 	res := clusterResult{votes: len(votes), deltas: make(map[graph.EdgeKey]float64)}
 	p := e.newProgram()
 	b := &signomial.Builder{}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"kgvote/internal/core"
@@ -10,6 +11,7 @@ import (
 	"kgvote/internal/qa"
 	"kgvote/internal/sgp"
 	"kgvote/internal/synth"
+	"kgvote/internal/vote"
 )
 
 // AblationSolverMode compares the full augmented-Lagrangian multi-vote
@@ -284,4 +286,168 @@ func AblationCluster(cfg Config) (Table, error) {
 		t.Rows = append(t.Rows, []string{algo.name, elapsed.String(), f2(omega), fmt.Sprintf("%d", rep.Clusters)})
 	}
 	return t, nil
+}
+
+// quarantineBatch is the stream flush threshold of the quarantine ablation.
+const quarantineBatch = 16
+
+// honestVoters is how many honest identities every quarantine pass simulates.
+const honestVoters = 5
+
+// quarantineScenarios are the two attacks the reputation tracker must
+// absorb, sized so the adversarial stream rivals the honest one.
+func quarantineScenarios(cfg Config) []synth.Scenario {
+	return []synth.Scenario{
+		{Kind: synth.SpamFlood, Seed: cfg.Seed + 21, Volume: 3 * cfg.TrainQuestions},
+		{Kind: synth.ColludingRing, Seed: cfg.Seed + 22, Waves: 3},
+	}
+}
+
+// AblationQuarantine drives honest voters mixed with each adversarial
+// scenario of DESIGN.md §15 through full vote→flush→re-rank cycles, with
+// the reputation tracker installed and without it: the tracker, not the
+// solver alone, is what absorbs the attacks. Ω_avg is over the honest
+// votes; MRR and MAP are over the held-out test questions.
+func AblationQuarantine(cfg Config) (Table, error) {
+	cfg = cfg.withDefaults()
+	f, err := newTaobaoFixture(cfg)
+	if err != nil {
+		return Table{}, err
+	}
+	t := Table{
+		Title:  "Ablation: reputation quarantine under adversarial votes",
+		Header: []string{"Scenario", "Tracker", "Omega_avg", "MRR", "MAP", "Votes quarantined", "Honest voters quarantined"},
+	}
+	row := func(name string, adv *synth.Scenario, withTracker bool) error {
+		pm, err := runScenarioPass(f, adv, withTracker, core.StreamMulti)
+		if err != nil {
+			return fmt.Errorf("harness: %s: %w", name, err)
+		}
+		tracker := "off"
+		if withTracker {
+			tracker = "on"
+		}
+		t.Rows = append(t.Rows, []string{
+			name, tracker, f2(pm.omegaAvg), f3(pm.mrr), f3(pm.mapScore),
+			fmt.Sprintf("%d", pm.quarantined), fmt.Sprintf("%d", pm.honestQuarantined),
+		})
+		return nil
+	}
+	if err := row("honest only", nil, true); err != nil {
+		return Table{}, err
+	}
+	for _, sc := range quarantineScenarios(cfg) {
+		for _, withTracker := range []bool{true, false} {
+			if err := row(sc.Kind.String(), &sc, withTracker); err != nil {
+				return Table{}, err
+			}
+		}
+	}
+	return t, nil
+}
+
+// passMetrics is one full vote→flush→re-rank cycle's outcome.
+type passMetrics struct {
+	quarantined       int // votes the flushes set aside
+	honestQuarantined int // honest voters the tracker ended up quarantining
+	omegaAvg          float64
+	mrr, mapScore     float64
+}
+
+// runScenarioPass builds a fresh identically-corrupted system, generates
+// the honest stream plus (optionally) one adversarial stream against it,
+// interleaves them in a deterministic shuffle, and streams everything
+// through batch flushes. Honest Ω_avg compares each honest vote's
+// ground-truth rank at vote time against its final rank; MRR/MAP come
+// from the held-out test set.
+func runScenarioPass(f *taobaoFixture, adv *synth.Scenario, withTracker bool, solver core.StreamSolver) (passMetrics, error) {
+	var pm passMetrics
+	sys, err := f.buildCorrupted()
+	if err != nil {
+		return pm, err
+	}
+	honest, err := synth.SimulateScenario(sys, f.train, synth.Scenario{
+		Kind: synth.Honest, Seed: f.cfg.Seed + 4, Voters: honestVoters,
+	})
+	if err != nil {
+		return pm, err
+	}
+	recs := append([]synth.VoteRecord(nil), honest...)
+	if adv != nil {
+		advRecs, err := synth.SimulateScenario(sys, f.train, *adv)
+		if err != nil {
+			return pm, err
+		}
+		recs = append(recs, advRecs...)
+	}
+	rand.New(rand.NewSource(f.cfg.Seed+6)).Shuffle(len(recs), func(i, j int) {
+		recs[i], recs[j] = recs[j], recs[i]
+	})
+
+	stream, err := sys.Engine.NewStream(quarantineBatch, solver)
+	if err != nil {
+		return pm, err
+	}
+	var tracker *vote.Reputation
+	if withTracker {
+		tracker = vote.NewReputation(vote.ReputationConfig{})
+		stream.SetVoterPolicy(tracker)
+	}
+	for _, rec := range recs {
+		if tracker != nil {
+			tracker.Observe(rec.Vote.Voter, uint64(rec.Question.ID), rec.Vote.Best)
+		}
+		rep, err := stream.Push(rec.Vote)
+		if err != nil {
+			return pm, err
+		}
+		if rep != nil {
+			pm.quarantined += rep.Quarantined
+		}
+	}
+	rep, err := stream.Flush()
+	if err != nil {
+		return pm, err
+	}
+	if rep != nil {
+		pm.quarantined += rep.Quarantined
+	}
+	if tracker != nil {
+		for i := 0; i < honestVoters; i++ {
+			// synth names its honest voters "honest-<i>".
+			if tracker.Quarantine(fmt.Sprintf("honest-%d", i)) {
+				pm.honestQuarantined++
+			}
+		}
+	}
+
+	// Honest Ω: the ground-truth answer's rank at vote time vs now.
+	var before, after []int
+	for _, rec := range honest {
+		best, err := sys.AnswerOf(rec.Question.BestDoc)
+		if err != nil {
+			return pm, err
+		}
+		now, err := sys.Engine.RankOf(rec.Query, best, sys.Answers())
+		if err != nil {
+			return pm, err
+		}
+		before = append(before, rec.TrueRank)
+		after = append(after, now)
+	}
+	pm.omegaAvg, err = metrics.OmegaAvg(before, after)
+	if err != nil {
+		return pm, err
+	}
+	ranks, err := f.testRanks(sys)
+	if err != nil {
+		return pm, err
+	}
+	pm.mrr = metrics.MRR(ranks)
+	aps, err := f.testAPs(sys)
+	if err != nil {
+		return pm, err
+	}
+	pm.mapScore = metrics.MAP(aps)
+	return pm, nil
 }

@@ -181,17 +181,3 @@ func Figure6Table(rows []Figure6Row) Table {
 	}
 	return t
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

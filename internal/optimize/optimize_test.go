@@ -112,33 +112,6 @@ func TestBoxValidate(t *testing.T) {
 	}
 }
 
-func TestLBFGSQuadratic(t *testing.T) {
-	f := quadratic([]float64{1, 2, 3, 4})
-	res := LBFGS(f, make([]float64, 4), LBFGSOptions{})
-	for i, want := range []float64{1, 2, 3, 4} {
-		if math.Abs(res.X[i]-want) > 1e-6 {
-			t.Errorf("X[%d] = %v, want %v", i, res.X[i], want)
-		}
-	}
-	if res.Iters > 50 {
-		t.Errorf("quadratic took %d iterations", res.Iters)
-	}
-}
-
-func TestLBFGSRosenbrock(t *testing.T) {
-	res := LBFGS(rosenbrock(), []float64{-1.2, 1}, LBFGSOptions{MaxIter: 2000, Tol: 1e-10, FTol: 1e-16})
-	if math.Abs(res.X[0]-1) > 1e-5 || math.Abs(res.X[1]-1) > 1e-5 {
-		t.Errorf("X = %v (f=%v, status=%v), want [1 1]", res.X, res.F, res.Status)
-	}
-}
-
-func TestLBFGSEmpty(t *testing.T) {
-	res := LBFGS(Func{}, nil, LBFGSOptions{})
-	if res.Status != Converged {
-		t.Errorf("empty problem should converge trivially")
-	}
-}
-
 func TestAugmentedLagrangianSimple(t *testing.T) {
 	// min x² s.t. 1 − x ≤ 0 → x* = 1.
 	obj := quadratic([]float64{0})
@@ -326,25 +299,6 @@ func TestProjectedGradientSmallImprovement(t *testing.T) {
 	}
 	if res.Status != Converged && res.Status != SmallImprovement {
 		t.Errorf("flat function status = %v", res.Status)
-	}
-}
-
-func TestLBFGSQuartic(t *testing.T) {
-	// A quartic bowl: flat curvature near the origin stresses the
-	// curvature-history updates without breaking convexity.
-	f := Func{
-		F: func(x []float64) float64 {
-			x4 := x[0] * x[0] * x[0] * x[0]
-			return x4 + x[1]*x[1]
-		},
-		Grad: func(x []float64, g []float64) {
-			g[0] = 4 * x[0] * x[0] * x[0]
-			g[1] = 2 * x[1]
-		},
-	}
-	res := LBFGS(f, []float64{2, -3}, LBFGSOptions{MaxIter: 2000})
-	if math.Abs(res.X[0]) > 5e-2 || math.Abs(res.X[1]) > 1e-4 {
-		t.Errorf("X = %v, want near origin (status %v)", res.X, res.Status)
 	}
 }
 

@@ -35,6 +35,14 @@ type SolveOptions struct {
 	Stop func() bool
 }
 
+// Params is SolveOptions without the caller's Stop hook: what a
+// core.ClusterSolver is handed, with cancellation travelling in its
+// context instead.
+type Params struct {
+	Mode Mode
+	AL   optimize.ALOptions
+}
+
 // Solution is the outcome of a solve.
 type Solution struct {
 	// X holds the final value of every variable (edge weights and, in Full

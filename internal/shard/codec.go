@@ -37,8 +37,8 @@ const (
 	codecVersion = 1
 
 	// maxFramePayload bounds the declared payload length so a corrupt
-	// header cannot demand an absurd allocation (64 MiB matches the solve
-	// farm's frame cap).
+	// header cannot demand an absurd allocation. 64 MiB is four million
+	// edges per snapshot, far past any graph this system serves.
 	maxFramePayload = 64 << 20
 )
 

@@ -377,6 +377,9 @@ func TestQuotaShedCodes(t *testing.T) {
 	if !apiErr.Temporary() {
 		t.Fatal("tenant_quota_exceeded must be Temporary for VoteRetry")
 	}
+	if apiErr.RetryAfter() <= 0 {
+		t.Fatal("tenant_quota_exceeded carries no Retry-After hint")
+	}
 
 	// Default tenant keeps the legacy per-reason code.
 	unscoped := client.New(ts.URL, client.WithClientID("c2"))
