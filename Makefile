@@ -61,9 +61,9 @@ cluster-smoke:
 metrics-smoke:
 	$(GO) test -v -run 'TestMetricsEndToEnd' ./cmd/kgvoted/
 
-# Incremental-scorer smoke (DESIGN.md §16): the push/repair differential
-# suite (certified bound held, repair = fresh, exact push = enumerator
-# bitwise) under the race detector.
+# ppr library + the one serving kernel (DESIGN.md §16) under the race
+# detector: push bound held, repair = fresh, exact push = enumerator
+# bitwise, and the engine's ranking = a fresh CSRScorer sweep.
 ppr-smoke:
 	$(GO) test -race ./internal/ppr/ ./internal/pathidx/ ./internal/core/
 

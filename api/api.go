@@ -59,10 +59,8 @@ type StatsBody struct {
 	Shard      *ShardStats           `json:"shard,omitempty"`
 	Replica    *ReplicaStats         `json:"replica,omitempty"`
 	// Flush carries cumulative flush-pipeline telemetry (enum-cache
-	// effectiveness and per-stage wall-clock totals); PPR is present when
-	// the daemon serves with the incremental push backend (-scorer=push).
+	// effectiveness and per-stage wall-clock totals).
 	Flush *FlushStats `json:"flush,omitempty"`
-	PPR   *PPRStats   `json:"ppr,omitempty"`
 }
 
 // ServingStats is the serving section of /v1/stats: the graph and vote
@@ -136,33 +134,6 @@ type FlushStats struct {
 	ClusterSeconds  float64 `json:"cluster_seconds"`
 	SolveSeconds    float64 `json:"solve_seconds"`
 	MergeSeconds    float64 `json:"merge_seconds"`
-}
-
-// PPRStats is the incremental push-scorer section of /v1/stats, present
-// when the daemon runs with -scorer=push (DESIGN.md §16).
-type PPRStats struct {
-	// Backend names the serving scorer ("push").
-	Backend string `json:"backend"`
-	// TrackedSeeds is the number of seed vectors maintained incrementally.
-	TrackedSeeds int `json:"tracked_seeds"`
-	// ResidualMass is the summed certified error bound across tracked
-	// seeds — the approximation budget currently outstanding.
-	ResidualMass float64 `json:"residual_mass"`
-	// Pushes counts push operations across cold solves and repairs.
-	Pushes int64 `json:"pushes"`
-	// Updates counts per-flush incremental repairs (snapshot republishes).
-	Updates int64 `json:"updates"`
-	// ColdRanks counts from-scratch solves on the read path.
-	ColdRanks int64 `json:"cold_ranks"`
-	// Rebuilds counts tracked seeds re-solved after their bound crossed
-	// the rebuild ceiling.
-	Rebuilds int64 `json:"rebuilds"`
-	// StaleFallbacks counts reads that fell back to the exact enumerator
-	// because their snapshot trailed the tracker's epoch.
-	StaleFallbacks int64 `json:"stale_fallbacks"`
-	// Evictions counts tracked seeds dropped under capacity pressure or
-	// unknown-delta resets.
-	Evictions int64 `json:"evictions"`
 }
 
 // ShardStats is the sharded-serving section of /v1/stats, present when

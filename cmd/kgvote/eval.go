@@ -65,7 +65,9 @@ func cmdEval(args []string) error {
 		return err
 	}
 	if *corruption > 0 {
-		synth.CorruptWeights(sys.Aug.Graph, *corruption, *seed+2)
+		if err := synth.CorruptSystem(sys, *corruption, *seed+2); err != nil {
+			return err
+		}
 	}
 
 	if *solver != "" {

@@ -43,7 +43,6 @@ import (
 	"kgvote/internal/admit"
 	"kgvote/internal/core"
 	"kgvote/internal/durable"
-	"kgvote/internal/pathidx"
 	"kgvote/internal/qa"
 	"kgvote/internal/server"
 	"kgvote/internal/shard"
@@ -61,12 +60,7 @@ type config struct {
 	k, l       int
 	seed       int64
 	solverName string
-	statePath  string
 	workers    int
-
-	scorer      string
-	pushRMax    float64
-	pushTracked int
 
 	dataDir         string
 	fsync           string
@@ -108,10 +102,6 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for the synthetic corpus")
 	flag.StringVar(&cfg.solverName, "solver", "multi", "batch solver: multi, sm, or single")
 	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "flush-pipeline concurrency: enumeration, judgment, clustering, and per-cluster solves fan out over this many goroutines")
-	flag.StringVar(&cfg.scorer, "scorer", "enum", "serving scorer backend: enum (exact bounded-walk sweeps) or push (incremental local push, repaired in O(delta) per flush; DESIGN.md §16)")
-	flag.Float64Var(&cfg.pushRMax, "push-rmax", 0, "push-backend residual-drop threshold (0 = default 1e-6, negative = exact); smaller tightens the certified bound and costs more pushes")
-	flag.IntVar(&cfg.pushTracked, "push-tracked", 0, "push-backend cap on incrementally maintained seed sets (0 = default 256)")
-	flag.StringVar(&cfg.statePath, "state", "", "persist the optimized system here: loaded at boot if present, saved on SIGINT/SIGTERM (no WAL; see -data-dir)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durability directory: WAL + checkpoints + crash recovery")
 	flag.StringVar(&cfg.fsync, "fsync", "always", "WAL fsync policy with -data-dir: always, interval, or never")
 	flag.DurationVar(&cfg.syncEvery, "sync-every", 50*time.Millisecond, "fsync staleness bound under -fsync interval")
@@ -127,7 +117,7 @@ func main() {
 	flag.IntVar(&cfg.shardIndex, "shard-index", 0, "this process's shard index within -shard-map")
 	flag.IntVar(&cfg.shardInit, "shard-init", 0, "create -shard-map for N shards if the file does not exist (seeded by -seed; all processes must agree)")
 	flag.StringVar(&cfg.peers, "peers", "", "comma-separated peer shard writer base URLs: replicate each flush's weight set to them")
-	flag.BoolVar(&cfg.replica, "replica", false, "run as a read-only snapshot replica of -follow (requires -shard-map; excludes -data-dir, -state, -peers)")
+	flag.BoolVar(&cfg.replica, "replica", false, "run as a read-only snapshot replica of -follow (requires -shard-map; excludes -data-dir, -peers)")
 	flag.StringVar(&cfg.follow, "follow", "", "writer base URL this replica polls for snapshots")
 	flag.DurationVar(&cfg.followEvery, "follow-every", 500*time.Millisecond, "replica snapshot poll interval")
 	flag.StringVar(&cfg.tenants, "tenants", "", "comma-separated tenant ids: host each as an independent stack behind /v1/t/{tenant} (DESIGN.md §17); a default tenant serving the un-prefixed /v1 routes always exists")
@@ -158,17 +148,7 @@ func serve(cfg config) error {
 	default:
 		return fmt.Errorf("unknown solver %q (multi, sm, single)", cfg.solverName)
 	}
-	backend, err := pathidx.ParseBackend(cfg.scorer)
-	if err != nil {
-		return err
-	}
-	opts := core.Options{
-		K: cfg.k, L: cfg.l, Workers: cfg.workers,
-		Scorer: backend, PushRMax: cfg.pushRMax, PushMaxTracked: cfg.pushTracked,
-	}
-	if cfg.dataDir != "" && cfg.statePath != "" {
-		return errors.New("-data-dir and -state are mutually exclusive; the data directory owns persistence")
-	}
+	opts := core.Options{K: cfg.k, L: cfg.l, Workers: cfg.workers}
 	if cfg.replica {
 		if cfg.follow == "" {
 			return errors.New("-replica requires -follow (the writer to poll snapshots from)")
@@ -176,8 +156,8 @@ func serve(cfg config) error {
 		if cfg.shardMap == "" {
 			return errors.New("-replica requires -shard-map (the replica serves its writer's document slice)")
 		}
-		if cfg.dataDir != "" || cfg.statePath != "" || cfg.peers != "" {
-			return errors.New("-replica state is ephemeral (re-synced from the writer); it excludes -data-dir, -state, and -peers")
+		if cfg.dataDir != "" || cfg.peers != "" {
+			return errors.New("-replica state is ephemeral (re-synced from the writer); it excludes -data-dir and -peers")
 		}
 	}
 	if cfg.peers != "" && cfg.shardMap == "" {
@@ -219,6 +199,7 @@ func serve(cfg config) error {
 		mgr *durable.Manager
 		rec *durable.Recovered
 		sys *qa.System
+		err error
 	)
 	if cfg.dataDir != "" {
 		policy, err := wal.ParseSyncPolicy(cfg.fsync)
@@ -246,7 +227,7 @@ func serve(cfg config) error {
 		log.Printf("kgvoted: recovered from %s: checkpoint at wal seq %d, %d records replayed, %d pending votes",
 			cfg.dataDir, rec.CheckpointSeq, rec.Records, len(rec.Pending))
 	} else {
-		sys, err = loadOrBuild(cfg.corpusPath, cfg.statePath, cfg.docs, cfg.seed, opts)
+		sys, err = loadOrBuild(cfg.corpusPath, cfg.docs, cfg.seed, opts)
 		if err != nil {
 			return err
 		}
@@ -357,12 +338,6 @@ func serve(cfg config) error {
 	if mgr != nil {
 		log.Printf("kgvoted: drained and checkpointed to %s", cfg.dataDir)
 	}
-	if cfg.statePath != "" {
-		if err := saveState(sys, cfg.statePath); err != nil {
-			return err
-		}
-		log.Printf("kgvoted: state saved to %s", cfg.statePath)
-	}
 	return nil
 }
 
@@ -385,24 +360,8 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// loadOrBuild restores a persisted system when statePath exists, otherwise
-// builds a fresh one from the corpus (file or synthetic).
-func loadOrBuild(corpusPath, statePath string, docs int, seed int64, opts core.Options) (*qa.System, error) {
-	if statePath != "" {
-		f, err := os.Open(statePath)
-		switch {
-		case err == nil:
-			defer f.Close()
-			sys, err := qa.Load(f, opts)
-			if err != nil {
-				return nil, fmt.Errorf("loading state %s: %w", statePath, err)
-			}
-			log.Printf("kgvoted: resumed from %s", statePath)
-			return sys, nil
-		case !errors.Is(err, os.ErrNotExist):
-			return nil, err
-		}
-	}
+// loadOrBuild builds a fresh system from the corpus (file or synthetic).
+func loadOrBuild(corpusPath string, docs int, seed int64, opts core.Options) (*qa.System, error) {
 	var (
 		corpus *qa.Corpus
 		err    error
@@ -424,23 +383,4 @@ func loadOrBuild(corpusPath, statePath string, docs int, seed int64, opts core.O
 		}
 	}
 	return qa.Build(corpus, opts)
-}
-
-// saveState writes the system atomically (temp file + rename).
-func saveState(sys *qa.System, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := sys.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -8,61 +8,28 @@ import (
 	"kgvote/internal/core"
 )
 
-func TestLoadOrBuildAndSaveState(t *testing.T) {
-	dir := t.TempDir()
-	state := filepath.Join(dir, "state.json")
-	opts := core.Options{K: 5, L: 3}
-
-	// No state file yet: builds a synthetic corpus.
-	sys, err := loadOrBuild("", state, 20, 1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sys.Corpus.Docs) != 20 {
-		t.Fatalf("docs = %d", len(sys.Corpus.Docs))
-	}
-	if err := saveState(sys, state); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(state); err != nil {
-		t.Fatalf("state not written: %v", err)
-	}
-	if _, err := os.Stat(state + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("temp file left behind")
-	}
-
-	// Second boot resumes from the state.
-	resumed, err := loadOrBuild("", state, 99, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resumed.Corpus.Docs) != 20 {
-		t.Errorf("resume ignored state: docs = %d", len(resumed.Corpus.Docs))
-	}
-
-	// A corrupt state fails loudly rather than silently rebuilding.
-	if err := os.WriteFile(state, []byte("{broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadOrBuild("", state, 20, 1, opts); err == nil {
-		t.Errorf("corrupt state should fail")
-	}
-}
-
 func TestLoadOrBuildCorpusFile(t *testing.T) {
 	dir := t.TempDir()
 	corpusPath := filepath.Join(dir, "c.json")
 	if err := os.WriteFile(corpusPath, []byte(`{"Docs":[{"ID":1,"Entities":{"a":1,"b":1}}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := loadOrBuild(corpusPath, "", 0, 0, core.Options{K: 2, L: 3})
+	sys, err := loadOrBuild(corpusPath, 0, 0, core.Options{K: 2, L: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sys.Corpus.Docs) != 1 {
 		t.Errorf("docs = %d", len(sys.Corpus.Docs))
 	}
-	if _, err := loadOrBuild(filepath.Join(dir, "missing.json"), "", 0, 0, core.Options{}); err == nil {
+	if _, err := loadOrBuild(filepath.Join(dir, "missing.json"), 0, 0, core.Options{}); err == nil {
 		t.Errorf("missing corpus should fail")
+	}
+	// No corpus path: builds a synthetic corpus of the requested size.
+	sys, err = loadOrBuild("", 20, 1, core.Options{K: 5, L: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sys.Corpus.Docs) != 20 {
+		t.Errorf("synthetic docs = %d, want 20", len(sys.Corpus.Docs))
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"kgvote/internal/admit"
 	"kgvote/internal/core"
 	"kgvote/internal/durable"
-	"kgvote/internal/pathidx"
 	"kgvote/internal/qa"
 	"kgvote/internal/server"
 	"kgvote/internal/telemetry"
@@ -36,9 +35,6 @@ func serveTenants(cfg config) error {
 	if cfg.replica || cfg.shardMap != "" || cfg.peers != "" {
 		return errors.New("-tenants excludes -replica, -shard-map, and -peers (shard a tenant by running it as its own cluster)")
 	}
-	if cfg.statePath != "" {
-		return errors.New("-tenants excludes -state; use -data-dir for per-tenant durability")
-	}
 	for _, id := range splitAddrs(cfg.tenants) {
 		if !tenant.ValidID(id) || id == "admin" {
 			return fmt.Errorf("-tenants: invalid tenant id %q (want ^[a-z0-9][a-z0-9_-]{0,63}$, not \"admin\")", id)
@@ -55,14 +51,7 @@ func serveTenants(cfg config) error {
 	default:
 		return fmt.Errorf("unknown solver %q (multi, sm, single)", cfg.solverName)
 	}
-	backend, err := pathidx.ParseBackend(cfg.scorer)
-	if err != nil {
-		return err
-	}
-	opts := core.Options{
-		K: cfg.k, L: cfg.l, Workers: cfg.workers,
-		Scorer: backend, PushRMax: cfg.pushRMax, PushMaxTracked: cfg.pushTracked,
-	}
+	opts := core.Options{K: cfg.k, L: cfg.l, Workers: cfg.workers}
 	var reg *telemetry.Registry
 	if cfg.metrics {
 		reg = telemetry.NewRegistry()
@@ -114,7 +103,7 @@ func serveTenants(cfg config) error {
 				id, dir, rec.CheckpointSeq, rec.Records, len(rec.Pending))
 		} else {
 			var err error
-			if sys, err = loadOrBuild(cfg.corpusPath, "", cfg.docs, cfg.seed, opts); err != nil {
+			if sys, err = loadOrBuild(cfg.corpusPath, cfg.docs, cfg.seed, opts); err != nil {
 				if mgr != nil {
 					mgr.Close()
 				}

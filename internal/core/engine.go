@@ -8,7 +8,7 @@ import (
 
 	"kgvote/internal/graph"
 	"kgvote/internal/pathidx"
-	"kgvote/internal/ppr"
+	"kgvote/internal/topk"
 	"kgvote/internal/vote"
 )
 
@@ -21,10 +21,16 @@ import (
 // any number of goroutines may read concurrently while the single writer
 // keeps optimizing: the snapshot is republished after every batch of
 // weight changes.
+//
+// After New, weights change only through the engine: every write it makes
+// (solve, ApplyWeightSet, Restore, ImportWeightSet) republishes the
+// snapshot, and callers must not set weights on the graph behind its
+// back. Nodes attached since the last publish are query nodes, which have
+// no in-edges. Together these make the published snapshot exact for the
+// engine's own ranking (see rank).
 type Engine struct {
-	g      *graph.Graph
-	opt    Options
-	scorer *pathidx.Scorer
+	g   *graph.Graph
+	opt Options
 
 	// epoch counts snapshot publications; it is written only by the
 	// engine's single writer and read through the published snapshot.
@@ -38,11 +44,6 @@ type Engine struct {
 	// clusterSolver, when non-nil, replaces the in-process solve of each
 	// finished program (see SetClusterSolver).
 	clusterSolver ClusterSolver
-
-	// push, set when Options.Scorer == pathidx.BackendPush, is the
-	// incremental local-push tracker shared across snapshot generations;
-	// publish repairs it from each flush's changed-edge delta.
-	push *ppr.Incremental
 
 	// progPool recycles sgp.Program workspaces across solves (the
 	// split-and-merge path builds one program per cluster per flush).
@@ -58,31 +59,11 @@ func New(g *graph.Graph, opt Options) (*Engine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
-	sc, err := pathidx.NewScorer(g, opt.pathOptions())
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{g: g, opt: opt, scorer: sc}
-	if opt.Scorer == pathidx.BackendPush {
-		e.push, err = ppr.NewIncremental(opt.pushOptions(), opt.PushMaxTracked)
-		if err != nil {
-			return nil, err
-		}
-	}
+	e := &Engine{g: g, opt: opt.withDefaults()}
 	if err := e.publish(nil); err != nil {
 		return nil, err
 	}
 	return e, nil
-}
-
-// PushStats snapshots the incremental push tracker's counters; ok is
-// false when the engine serves with the enumerator backend.
-func (e *Engine) PushStats() (ppr.IncrementalStats, bool) {
-	if e.push == nil {
-		return ppr.IncrementalStats{}, false
-	}
-	return e.push.Stats(), true
 }
 
 // Graph returns the engine's (mutable) graph.
@@ -94,17 +75,49 @@ func (e *Engine) Options() Options { return e.opt }
 // Similarity evaluates S(vq, va) with the truncated extended inverse
 // P-distance.
 func (e *Engine) Similarity(q, a graph.NodeID) (float64, error) {
-	return e.scorer.Similarity(q, a)
+	if int(a) < 0 || int(a) >= e.g.NumNodes() {
+		return 0, fmt.Errorf("core: target %d out of range [0, %d)", a, e.g.NumNodes())
+	}
+	ranked, err := e.rank(q, []graph.NodeID{a}, 1)
+	if err != nil {
+		return 0, err
+	}
+	return ranked[0].Score, nil
 }
 
 // Rank returns the top-K ranked answer list for a query.
 func (e *Engine) Rank(q graph.NodeID, answers []graph.NodeID) ([]pathidx.Ranked, error) {
-	return e.scorer.Rank(q, answers, e.opt.K)
+	return e.rank(q, answers, e.opt.K)
 }
 
 // RankAll ranks every answer (not just the top K); used by evaluation.
 func (e *Engine) RankAll(q graph.NodeID, answers []graph.NodeID) ([]pathidx.Ranked, error) {
-	return e.scorer.Rank(q, answers, 0)
+	return e.rank(q, answers, 0)
+}
+
+// rank scores answers from q on the published snapshot, with q's live
+// out-edges as the seed vector: the call the serving path makes for a
+// question. The snapshot carries the graph's current weights (the
+// Engine invariant), and a node attached since it was compiled has no
+// in-edges, so no walk from the seeds can reach one and the ranking is
+// bitwise the one a sweep from q over the live graph would give. A q
+// without a live out-edge reaches nothing and scores 0 everywhere.
+func (e *Engine) rank(q graph.NodeID, answers []graph.NodeID, k int) ([]pathidx.Ranked, error) {
+	if int(q) < 0 || int(q) >= e.g.NumNodes() {
+		return nil, fmt.Errorf("core: source %d out of range [0, %d)", q, e.g.NumNodes())
+	}
+	var ids []graph.NodeID
+	var ws []float64
+	for _, out := range e.g.Out(q) {
+		if out.Weight != 0 {
+			ids = append(ids, out.To)
+			ws = append(ws, out.Weight)
+		}
+	}
+	if len(ids) == 0 {
+		return topk.FromScores(nil, nil, answers, k), nil
+	}
+	return e.Serving().RankSeeded("", ids, ws, answers, k)
 }
 
 // RankOf returns the 1-based position of answer among answers for query,

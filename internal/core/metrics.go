@@ -1,11 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"kgvote/internal/ppr"
-	"kgvote/internal/telemetry"
-)
+import "kgvote/internal/telemetry"
 
 // Metrics is the engine's optimization-path instrumentation: the hot
 // stages the paper makes expensive — per-batch SGP solves and
@@ -41,11 +36,6 @@ type Metrics struct {
 	StageCluster *telemetry.Histogram
 	StageSolve   *telemetry.Histogram
 	StageMerge   *telemetry.Histogram
-	// PushUpdateSeconds times the per-publish incremental push repair
-	// (BackendPush only); PushUpdatePushes counts the push operations
-	// those repairs performed.
-	PushUpdateSeconds *telemetry.Histogram
-	PushUpdatePushes  *telemetry.Counter
 	// RankCacheRetained / RankCacheDropped count cached rankings carried
 	// into (or invalidated out of) each republished snapshot by the
 	// delta-aware retention rule.
@@ -85,10 +75,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		StageCluster: stageHistogram(reg, "cluster"),
 		StageSolve:   stageHistogram(reg, "solve"),
 		StageMerge:   stageHistogram(reg, "merge"),
-		PushUpdateSeconds: reg.Histogram("kgvote_ppr_update_seconds",
-			"Duration of one incremental push repair at snapshot republish.", nil, nil),
-		PushUpdatePushes: reg.Counter("kgvote_ppr_update_pushes_total",
-			"Push operations performed by per-flush incremental repairs.", nil),
 		RankCacheRetained: reg.Counter("kgvote_core_rank_cache_retained_total",
 			"Cached rankings carried across snapshot republishes by delta-aware retention.", nil),
 		RankCacheDropped: reg.Counter("kgvote_core_rank_cache_dropped_total",
@@ -134,15 +120,6 @@ func (m *Metrics) observeCluster(size int) {
 		return
 	}
 	m.ClusterSize.Observe(float64(size))
-}
-
-// observePushUpdate records one publish-time incremental repair.
-func (m *Metrics) observePushUpdate(d time.Duration, rep ppr.UpdateReport) {
-	if m == nil {
-		return
-	}
-	m.PushUpdateSeconds.Observe(d.Seconds())
-	m.PushUpdatePushes.Add(rep.Pushes)
 }
 
 // observeRankCacheCarry records one republish's retention outcome.

@@ -9,7 +9,6 @@ import (
 
 	"kgvote/internal/optimize"
 	"kgvote/internal/pathidx"
-	"kgvote/internal/ppr"
 	"kgvote/internal/sgp"
 	"kgvote/internal/vote"
 )
@@ -97,19 +96,6 @@ type Options struct {
 	// RankCacheSize bounds the per-snapshot query-rank LRU cache on the
 	// serving path (0 = DefaultRankCacheSize, negative = cache disabled).
 	RankCacheSize int
-	// Scorer selects the serving-path ranking backend: BackendEnum (the
-	// exact bounded-walk sweeps — default and exactness oracle) or
-	// BackendPush (incremental local push, repaired in O(delta) per
-	// flush within a certified additive bound; DESIGN.md §16).
-	Scorer pathidx.Backend
-	// PushRMax is the local-push residual-drop threshold for
-	// BackendPush (0 = ppr.DefaultRMax, negative = exact). Smaller
-	// thresholds tighten the certified bound and cost more pushes.
-	PushRMax float64
-	// PushMaxTracked bounds the push tracker's incrementally maintained
-	// seed sets (0 = ppr.DefaultMaxTracked); further seeds rank cold
-	// and evict the oldest tracked entry.
-	PushMaxTracked int
 	// AL tunes the augmented-Lagrangian solver.
 	AL optimize.ALOptions
 }
@@ -203,25 +189,12 @@ func (o Options) Validate() error {
 	if o.ClusterK < 0 {
 		return fmt.Errorf("core: negative ClusterK %d", o.ClusterK)
 	}
-	if !o.Scorer.Valid() {
-		return fmt.Errorf("core: unknown scorer backend %d", o.Scorer)
-	}
-	if o.PushMaxTracked < 0 {
-		return fmt.Errorf("core: negative PushMaxTracked %d", o.PushMaxTracked)
-	}
 	return nil
 }
 
 // pathOptions projects the engine options onto pathidx.Options.
 func (o Options) pathOptions() pathidx.Options {
 	return pathidx.Options{L: o.L, C: o.C, MaxPaths: o.MaxPaths}
-}
-
-// pushOptions projects the engine options onto ppr.PushOptions. The
-// restart probability and truncation depth are shared with the
-// enumerator, so both backends score the same quantity.
-func (o Options) pushOptions() ppr.PushOptions {
-	return ppr.PushOptions{C: o.C, L: o.L, RMax: o.PushRMax}
 }
 
 // rankCacheSize resolves the effective serving-cache capacity.

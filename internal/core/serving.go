@@ -2,13 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"time"
 
 	"kgvote/internal/graph"
 	"kgvote/internal/lru"
 	"kgvote/internal/pathidx"
-	"kgvote/internal/ppr"
 )
 
 // DefaultRankCacheSize is the default capacity of the per-snapshot
@@ -46,10 +45,6 @@ type GraphSnapshot struct {
 	pool  *pathidx.ScorerPool
 	cache *lru.Cache[string, rankEntry]
 	opt   Options
-	// push, set when Options.Scorer == pathidx.BackendPush, is the
-	// engine's shared incremental tracker. It advances with the writer;
-	// a reader holding a stale snapshot falls back to the enumerator.
-	push *ppr.Incremental
 }
 
 // Epoch returns the snapshot's generation counter. Epochs start at 1 and
@@ -83,24 +78,10 @@ func (s *GraphSnapshot) RankSeeded(cacheKey string, ids []graph.NodeID, ws []flo
 // RankSeededCached is RankSeeded plus a cache-hit report, so callers
 // (telemetry, /ask?trace=1) can distinguish a cached ranking from a
 // fresh scoring pass.
-//
-// Backend dispatch happens here: under pathidx.BackendPush the ranking
-// comes from the incremental tracker (tracked seeds answer in
-// O(candidates) after an O(delta) per-flush repair); the enumerator
-// serves as the fallback whenever the push path declines — stale
-// snapshot epoch after a republish race, or invalid seeds.
 func (s *GraphSnapshot) RankSeededCached(cacheKey string, ids []graph.NodeID, ws []float64, candidates []graph.NodeID, k int) ([]pathidx.Ranked, bool, error) {
 	if cacheKey != "" {
 		if ent, ok := s.cache.Get(cacheKey); ok {
 			return ent.ranked, true, nil
-		}
-	}
-	if s.push != nil {
-		// An error (stale epoch, invalid seeds) sends the ask to the
-		// exact enumerator below.
-		if ranked, _, err := s.push.RankSeeded(cacheKey, s.csr, s.csr.Epoch(), ids, ws, candidates, k); err == nil {
-			s.cacheAdd(cacheKey, ids, ranked)
-			return ranked, false, nil
 		}
 	}
 	sc := s.pool.Get()
@@ -227,19 +208,17 @@ func (s *GraphSnapshot) ExplainSeeded(ids []graph.NodeID, ws []float64, target g
 //
 // delta is the flush's final weight set (Report.Applied semantics): the
 // post-change weights of every edge the flush could have touched. nil
-// means the change set is unknown — the rank cache is dropped wholesale
-// and the push tracker reset, exactly the pre-delta behavior. A non-nil
-// delta (even empty) drives the two O(delta) paths: the incremental
-// push repair and delta-aware rank-cache retention. Edges whose listed
-// weight equals the previous snapshot's are discarded up front, so a
-// normalization-widened Applied list costs nothing extra. If the graph
-// gained nodes or edges since the previous snapshot, delta cannot be
-// complete and is demoted to nil.
+// means the change set is unknown — the rank cache is dropped wholesale.
+// A non-nil delta (even empty) drives delta-aware rank-cache retention.
+// Edges whose listed weight equals the previous snapshot's are discarded
+// up front, so a normalization-widened Applied list costs nothing extra.
+// If the graph gained nodes or edges since the previous snapshot, delta
+// cannot be complete and is demoted to nil.
 func (e *Engine) publish(delta []WeightChange) error {
 	prev := e.serving.Load()
 	e.epoch++
 	csr := graph.CompileAt(e.g, e.epoch)
-	pool, err := pathidx.NewScorerPool(csr, e.opt.pathOptions())
+	pool, err := pathidx.NewPool(csr, e.opt.pathOptions())
 	if err != nil {
 		return fmt.Errorf("core: publish snapshot: %w", err)
 	}
@@ -248,59 +227,51 @@ func (e *Engine) publish(delta []WeightChange) error {
 		pool:  pool,
 		cache: lru.New[string, rankEntry](e.opt.rankCacheSize()),
 		opt:   e.opt,
-		push:  e.push,
 	}
 	// A complete delta needs an unchanged structure: edges are append-only,
 	// so equal node and edge counts mean the same edge set.
-	var changed []ppr.EdgeDelta
 	if delta != nil && prev != nil &&
 		prev.csr.NumNodes() == csr.NumNodes() && prev.csr.NumEdges() == csr.NumEdges() {
-		changed = edgeDeltas(prev.csr, delta)
-	}
-	if e.push != nil {
-		start := time.Now()
-		rep := e.push.Update(csr, e.epoch, changed)
-		e.metrics.observePushUpdate(time.Since(start), rep)
-	}
-	if changed != nil {
-		retained, dropped := carryRankCache(prev.cache, snap.cache, csr, changed, e.opt.L)
+		retained, dropped := carryRankCache(prev.cache, snap.cache, csr, changedSources(prev.csr, delta), e.opt.L)
 		e.metrics.observeRankCacheCarry(retained, dropped)
 	}
 	e.serving.Store(snap)
 	return nil
 }
 
-// edgeDeltas resolves a flush's weight list against the previous
-// snapshot into the actually-changed edges (old weight bitwise different
-// from new), deduplicated last-write-wins and sorted by (From, To). The
-// result is never nil: an all-unchanged list yields an empty slice,
-// meaning "provably nothing moved".
-func edgeDeltas(prev *graph.CSR, delta []WeightChange) []ppr.EdgeDelta {
+// changedSources resolves a flush's weight list against the previous
+// snapshot and returns the source node of every edge whose final weight
+// (last write wins) differs bitwise from the previous one, ascending and
+// without duplicates. The result is never nil: an all-unchanged list
+// yields an empty slice, meaning "provably nothing moved".
+func changedSources(prev *graph.CSR, delta []WeightChange) []graph.NodeID {
 	final := make(map[graph.EdgeKey]float64, len(delta))
 	for _, wc := range delta {
 		final[graph.EdgeKey{From: wc.From, To: wc.To}] = wc.Weight
 	}
-	changed := make([]ppr.EdgeDelta, 0, len(final))
+	seen := make(map[graph.NodeID]bool)
+	sources := []graph.NodeID{}
 	for k, w := range final {
-		if old := prev.Weight(k.From, k.To); old != w {
-			changed = append(changed, ppr.EdgeDelta{From: k.From, To: k.To, Old: old, New: w})
+		if prev.Weight(k.From, k.To) != w && !seen[k.From] {
+			seen[k.From] = true
+			sources = append(sources, k.From)
 		}
 	}
-	ppr.SortEdgeDeltas(changed)
-	return changed
+	slices.Sort(sources)
+	return sources
 }
 
 // carryRankCache moves the previous snapshot's cached rankings into the
-// new cache, skipping every entry whose seed set can reach the source
-// endpoint of some changed edge within L−2 forward steps. Retention
-// rule (DESIGN.md §16): a cached ranking was computed from walks
-// virtual-query → seed → ≤L−1 graph edges; a changed edge (u,v) can
-// only contribute if some seed reaches u in ≤L−2 steps, so an entry
+// new cache, skipping every entry whose seed set can reach a changed
+// edge's source node (see changedSources) within L−2 forward steps.
+// Retention rule (DESIGN.md §16): a cached ranking was computed from
+// walks virtual-query → seed → ≤L−1 graph edges; a changed edge (u,v)
+// can only contribute if some seed reaches u in ≤L−2 steps, so an entry
 // with no such seed is bitwise identical under the new weights. The
 // reachability test is structural (weights ignored), which is
 // conservative under both the old and the new weight assignment.
-func carryRankCache(prev, next *lru.Cache[string, rankEntry], csr *graph.CSR, changed []ppr.EdgeDelta, l int) (retained, dropped int) {
-	if len(changed) == 0 {
+func carryRankCache(prev, next *lru.Cache[string, rankEntry], csr *graph.CSR, sources []graph.NodeID, l int) (retained, dropped int) {
+	if len(sources) == 0 {
 		// Nothing moved: every entry survives.
 		prev.Range(func(k string, v rankEntry) bool {
 			next.Add(k, v)
@@ -309,7 +280,7 @@ func carryRankCache(prev, next *lru.Cache[string, rankEntry], csr *graph.CSR, ch
 		})
 		return retained, 0
 	}
-	dirty := dirtySeedSet(csr, changed, l-2)
+	dirty := dirtySeedSet(csr, sources, l-2)
 	prev.Range(func(k string, v rankEntry) bool {
 		for _, s := range v.seeds {
 			if _, bad := dirty[s]; bad {
@@ -324,11 +295,11 @@ func carryRankCache(prev, next *lru.Cache[string, rankEntry], csr *graph.CSR, ch
 	return retained, dropped
 }
 
-// dirtySeedSet returns every node that reaches the source endpoint of a
-// changed edge within depth forward steps: a reverse BFS over the CSR's
-// structural edges from the changed-edge sources. depth < 0 returns an
-// empty set (L ≤ 1: no graph edge participates in any scored walk).
-func dirtySeedSet(csr *graph.CSR, changed []ppr.EdgeDelta, depth int) map[graph.NodeID]struct{} {
+// dirtySeedSet returns every node that reaches one of the changed-edge
+// sources within depth forward steps: a reverse BFS over the CSR's
+// structural edges. depth < 0 returns an empty set (L ≤ 1: no graph edge
+// participates in any scored walk).
+func dirtySeedSet(csr *graph.CSR, sources []graph.NodeID, depth int) map[graph.NodeID]struct{} {
 	dirty := make(map[graph.NodeID]struct{})
 	if depth < 0 {
 		return dirty
@@ -356,12 +327,10 @@ func dirtySeedSet(csr *graph.CSR, changed []ppr.EdgeDelta, depth int) map[graph.
 			fill[u]++
 		}
 	}
-	frontier := make([]graph.NodeID, 0, len(changed))
-	for _, d := range changed {
-		if _, seen := dirty[d.From]; !seen {
-			dirty[d.From] = struct{}{}
-			frontier = append(frontier, d.From)
-		}
+	frontier := make([]graph.NodeID, 0, len(sources))
+	for _, u := range sources {
+		dirty[u] = struct{}{}
+		frontier = append(frontier, u)
 	}
 	for step := 0; step < depth && len(frontier) > 0; step++ {
 		var nextFrontier []graph.NodeID

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"kgvote/internal/core"
+	"kgvote/internal/graph"
 	"kgvote/internal/metrics"
 	"kgvote/internal/pathidx"
 	"kgvote/internal/qa"
@@ -157,7 +158,7 @@ func AblationScorer(cfg Config) (Table, error) {
 	enumPer := time.Since(start) / time.Duration(len(w.Queries))
 	t.Rows = append(t.Rows, []string{"Explicit walk enumeration", enumPer.String()})
 
-	scorer, err := pathidx.NewScorer(w.Aug.Graph, opt)
+	scorer, err := pathidx.NewCSRScorer(graph.Compile(w.Aug.Graph), opt)
 	if err != nil {
 		return Table{}, err
 	}
@@ -224,7 +225,9 @@ func buildWithNormalize(f *taobaoFixture, mode core.NormalizeMode) (*qa.System, 
 	if err != nil {
 		return nil, err
 	}
-	synth.CorruptWeights(s.Aug.Graph, f.cfg.Corruption, f.cfg.Seed+5)
+	if err := synth.CorruptSystem(s, f.cfg.Corruption, f.cfg.Seed+5); err != nil {
+		return nil, err
+	}
 	recs, err := synth.SimulateVotes(s, f.train, synth.VoterConfig{Seed: f.cfg.Seed + 4})
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"kgvote/internal/core"
+	"kgvote/internal/graph"
 	"kgvote/internal/metrics"
 	"kgvote/internal/pathidx"
 	"kgvote/internal/ppr"
@@ -50,7 +51,7 @@ func TableVI(cfg Config) (Table, error) {
 		walkPer := time.Since(start) / time.Duration(len(w.Queries))
 
 		// EIPD: one truncated sweep scores all answers.
-		scorer, err := pathidx.NewScorer(g, pathidx.Options{})
+		scorer, err := pathidx.NewCSRScorer(graph.Compile(g), pathidx.Options{})
 		if err != nil {
 			return Table{}, err
 		}

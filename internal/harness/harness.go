@@ -289,7 +289,9 @@ func (f *taobaoFixture) buildCorrupted() (*qa.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	synth.CorruptWeights(sys.Aug.Graph, f.cfg.Corruption, f.cfg.Seed+5)
+	if err := synth.CorruptSystem(sys, f.cfg.Corruption, f.cfg.Seed+5); err != nil {
+		return nil, err
+	}
 	return sys, nil
 }
 

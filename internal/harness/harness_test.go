@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"kgvote/internal/graph"
+	"kgvote/internal/pathidx"
 	"kgvote/internal/sgp"
 	"kgvote/internal/synth"
 )
@@ -170,6 +173,53 @@ func TestFigure5Shape(t *testing.T) {
 				t.Errorf("column %d out of range: %v", col, row)
 			}
 		}
+	}
+}
+
+// TestCorruptedSystemServesCorruptedWeights: the fixtures' weight
+// corruption goes through the engine, so the serving snapshot ranks the
+// corrupted graph — score for score what a fresh compile of it ranks —
+// rather than the weights the system was built with.
+func TestCorruptedSystemServesCorruptedWeights(t *testing.T) {
+	f, err := newTaobaoFixture(tiny().withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := f.buildCorrupted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := pathidx.Options{L: f.cfg.L, C: sys.Engine.Options().C}
+	ref, err := pathidx.NewCSRScorer(graph.Compile(sys.Aug.Graph), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared := 0
+	for _, q := range f.test {
+		ids, ws, _, err := sys.Seed(q)
+		if err != nil {
+			continue
+		}
+		_, got, err := sys.RankSnapshot(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.RankSeeded(ids, ws, sys.ServingAnswers(), f.cfg.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("question %d: %d ranked, want %d", q.ID, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Node != want[i].Node || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("question %d rank %d: serving %v, corrupted graph %v", q.ID, i, got[i], want[i])
+			}
+		}
+		compared++
+	}
+	if compared == 0 {
+		t.Fatal("no test question could be seeded")
 	}
 }
 

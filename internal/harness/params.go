@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"kgvote/internal/core"
+	"kgvote/internal/graph"
 	"kgvote/internal/metrics"
 	"kgvote/internal/pathidx"
 	"kgvote/internal/sgp"
@@ -44,15 +45,20 @@ func Figure7PD(cfg Config, profiles []synth.Profile) (Table, error) {
 			return Table{}, err
 		}
 		q := w.Queries[0]
+		csr := graph.Compile(w.Aug.Graph)
 		sums := make([]float64, len(cfg.Lengths))
 		for i, l := range cfg.Lengths {
-			scorer, err := pathidx.NewScorer(w.Aug.Graph, pathidx.Options{L: l})
+			scorer, err := pathidx.NewCSRScorer(csr, pathidx.Options{L: l})
 			if err != nil {
 				return Table{}, err
 			}
-			sums[i], err = scorer.SumTopK(q, w.Answers, cfg.K)
+			// Sum_L = Σ_{a ∈ A_k} S_L(q, a), the top-k similarity mass.
+			ranked, err := scorer.Rank(q, w.Answers, cfg.K)
 			if err != nil {
 				return Table{}, err
+			}
+			for _, r := range ranked {
+				sums[i] += r.Score
 			}
 		}
 		row := []string{p.Name}

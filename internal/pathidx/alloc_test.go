@@ -20,7 +20,7 @@ func TestRankSeededIntoZeroAlloc(t *testing.T) {
 	for v := range candidates {
 		candidates[v] = graph.NodeID(v)
 	}
-	pool, err := NewScorerPool(graph.Compile(g), Options{L: 4})
+	pool, err := NewPool(graph.Compile(g), Options{L: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,19 @@ import (
 	"kgvote/internal/topk"
 )
 
-// CSRScorer is the serving-path twin of Scorer: it computes the same
-// truncated extended inverse P-distances over an immutable graph.CSR
-// snapshot. Because the snapshot never changes, any number of CSRScorers
-// can score concurrently (one scorer per goroutine; each scorer holds its
-// own scratch buffers) while the mutable graph keeps taking optimization
-// writes elsewhere.
+// Ranked is the ranked-answer entry every ranking returns (ppr.Ranked is
+// the same type).
+type Ranked = topk.Ranked
+
+// CSRScorer computes truncated extended inverse P-distances for every
+// node in one pass, score(v) = Σ_{l=1..L} c·(1−c)^l · (Wˡ)_{source,v},
+// using L sparse frontier sweeps over an immutable graph.CSR snapshot
+// instead of explicit walk enumeration. It is the one EIPD kernel: the
+// serving path, the engine's own ranking and the experiments all score
+// through it. Because the snapshot never changes, any number of
+// CSRScorers can score concurrently (one scorer per goroutine; each
+// scorer holds its own scratch buffers) while the mutable graph keeps
+// taking optimization writes elsewhere.
 type CSRScorer struct {
 	c   *graph.CSR
 	opt Options

@@ -1,42 +1,12 @@
 package pathidx
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"kgvote/internal/graph"
 )
-
-func TestCSRScorerMatchesScorer(t *testing.T) {
-	g := randomGraph(50, 4, rand.New(rand.NewSource(31)))
-	opt := Options{L: 4}
-	sc, err := NewScorer(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csr := graph.Compile(g)
-	cs, err := NewCSRScorer(csr, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for src := 0; src < 50; src += 7 {
-		a, err := sc.Scores(graph.NodeID(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := cs.Scores(graph.NodeID(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if math.Abs(a[i]-b[i]) > 1e-14 {
-				t.Fatalf("src %d node %d: %v vs %v", src, i, a[i], b[i])
-			}
-		}
-	}
-}
 
 func TestCSRScorerSnapshotSemantics(t *testing.T) {
 	g := randomGraph(20, 3, rand.New(rand.NewSource(5)))
@@ -137,20 +107,6 @@ func TestCSRScorerErrors(t *testing.T) {
 	}
 	if len(ranked) != 1 {
 		t.Errorf("rank truncation failed")
-	}
-}
-
-func BenchmarkScorer(b *testing.B) {
-	g := randomGraph(5000, 6, rand.New(rand.NewSource(1)))
-	sc, err := NewScorer(g, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sc.Scores(graph.NodeID(i % 5000)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -13,9 +13,10 @@
 //   - Enumerate/EIPD list the walks explicitly. This is what the SGP
 //     encoding needs, because each walk becomes a monomial over edge-weight
 //     variables.
-//   - Scorer computes Σ_{l≤L} c(1−c)^l (Wˡ)_{q,·} with L sparse
-//     vector–matrix sweeps, scoring every node at once. It is the fast
-//     scorer used for ranking and is provably equal to the enumerated sum.
+//   - CSRScorer computes Σ_{l≤L} c(1−c)^l (Wˡ)_{q,·} with L sparse
+//     vector–matrix sweeps over a compiled graph.CSR, scoring every node
+//     at once. It is the one scorer used for ranking and is provably
+//     equal to the enumerated sum.
 package pathidx
 
 import (

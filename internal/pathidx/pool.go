@@ -22,8 +22,8 @@ type ScorerPool struct {
 	pool sync.Pool
 }
 
-// NewScorerPool returns a pool over the snapshot.
-func NewScorerPool(c *graph.CSR, opt Options) (*ScorerPool, error) {
+// NewPool returns a pool over the snapshot.
+func NewPool(c *graph.CSR, opt Options) (*ScorerPool, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func TestScoresSeededMatchesAttachedQuery(t *testing.T) {
 	g, q, answers, seedIDs, seedWs := seedGraph(t)
 	opt := Options{L: 4}
 
-	full, err := NewScorer(g, opt)
+	full, err := NewCSRScorer(graph.Compile(g), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestScoresSeededErrors(t *testing.T) {
 // with -race this is the pool's torn-read check.
 func TestScorerPoolConcurrent(t *testing.T) {
 	g, _, answers, seedIDs, seedWs := seedGraph(t)
-	pool, err := NewScorerPool(graph.Compile(g), Options{L: 4})
+	pool, err := NewPool(graph.Compile(g), Options{L: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

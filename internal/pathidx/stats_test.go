@@ -39,7 +39,7 @@ func TestWalkStatsChain(t *testing.T) {
 }
 
 // The per-length contributions must sum to the total similarity mass over
-// all nodes (cross-check against the Scorer).
+// all nodes (cross-check against the CSRScorer).
 func TestWalkStatsMatchesScorerTotal(t *testing.T) {
 	g := randomGraph(30, 3, rand.New(rand.NewSource(8)))
 	opt := Options{L: 4}
@@ -51,7 +51,7 @@ func TestWalkStatsMatchesScorerTotal(t *testing.T) {
 	for _, s := range stats {
 		total += s.Contribution
 	}
-	sc, err := NewScorer(g, opt)
+	sc, err := NewCSRScorer(graph.Compile(g), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"kgvote/internal/core"
 	"kgvote/internal/graph"
 	"kgvote/internal/pathidx"
-	"kgvote/internal/ppr"
 	"kgvote/internal/telemetry"
 )
 
@@ -51,11 +50,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 // SetMetrics wires serving-path instrumentation; call once before
 // serving. nil disables.
 func (s *System) SetMetrics(m *Metrics) { s.metrics = m }
-
-// PushStats surfaces the engine's incremental push-scorer counters; ok
-// is false when the system serves with the exact enumerator backend
-// (core.Options.Scorer == pathidx.BackendEnum, the default).
-func (s *System) PushStats() (ppr.IncrementalStats, bool) { return s.Engine.PushStats() }
 
 // This file is the system's lock-free serving path: questions are ranked
 // against the engine's published GraphSnapshot as virtual query nodes

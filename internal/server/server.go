@@ -557,19 +557,6 @@ func (s *Server) StatsLocal() StatsBody {
 	if body.Flushes > 0 {
 		body.Flush = &ft
 	}
-	if ps, ok := s.sys.PushStats(); ok {
-		body.PPR = &api.PPRStats{
-			Backend:        "push",
-			TrackedSeeds:   ps.TrackedSeeds,
-			ResidualMass:   ps.ResidualMass,
-			Pushes:         ps.Pushes,
-			Updates:        ps.Updates,
-			ColdRanks:      ps.ColdRanks,
-			Rebuilds:       ps.Rebuilds,
-			StaleFallbacks: ps.StaleFallbacks,
-			Evictions:      ps.Evictions,
-		}
-	}
 	if s.admit != nil {
 		st := s.admit.Stats()
 		body.Admission = &api.AdmissionStats{

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"kgvote/internal/core"
-	"kgvote/internal/pathidx"
 	"kgvote/internal/qa"
 )
 
@@ -221,27 +220,6 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-// newBackendServer is newTestServer with a configurable scorer backend.
-func newBackendServer(t *testing.T, backend pathidx.Backend) (*Server, *httptest.Server) {
-	t.Helper()
-	corpus := &qa.Corpus{Docs: []qa.Document{
-		{ID: 0, Title: "Email stuck in outbox", Entities: map[string]int{"email": 2, "outbox": 2, "send": 1}},
-		{ID: 1, Title: "Configure Outlook account", Entities: map[string]int{"outlook": 2, "account": 2, "email": 1}},
-		{ID: 2, Title: "Message delivery delays", Entities: map[string]int{"message": 2, "send": 2, "delay": 1}},
-	}}
-	sys, err := qa.Build(corpus, core.Options{K: 3, L: 4, Scorer: backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(sys, 1, core.StreamMulti)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts
-}
-
 // TestStatsFlushSection: after a flush, /stats carries the cumulative
 // per-stage timings and enum-cache counters of the optimization pipeline.
 func TestStatsFlushSection(t *testing.T) {
@@ -263,39 +241,5 @@ func TestStatsFlushSection(t *testing.T) {
 		st.Flush.SolveSeconds + st.Flush.MergeSeconds
 	if total <= 0 {
 		t.Errorf("stage timings sum to %v: %+v", total, st.Flush)
-	}
-	if st.PPR != nil {
-		t.Errorf("enum backend exposes ppr stats: %+v", st.PPR)
-	}
-}
-
-// TestStatsPPRSection: under -scorer=push, /stats carries the incremental
-// tracker's counters, and the serving loop keeps working across a flush.
-func TestStatsPPRSection(t *testing.T) {
-	_, ts := newBackendServer(t, pathidx.BackendPush)
-	if vr := askAndVote(t, ts.URL, 1); !vr.Flushed {
-		t.Fatalf("vote did not flush: %+v", vr)
-	}
-	st := getStats(t, ts.URL)
-	if st.PPR == nil {
-		t.Fatal("push backend exposes no ppr stats")
-	}
-	if st.PPR.Backend != "push" {
-		t.Errorf("backend = %q", st.PPR.Backend)
-	}
-	if st.PPR.Pushes == 0 || st.PPR.ColdRanks == 0 {
-		t.Errorf("push counters empty: %+v", st.PPR)
-	}
-	// One update per publish: construction plus at least one flush.
-	if st.PPR.Updates < 2 {
-		t.Errorf("updates = %d, want ≥ 2", st.PPR.Updates)
-	}
-	// The ask path must still return sane rankings after the flush.
-	var again AskResponse
-	if code := post(t, ts.URL+"/ask", AskRequest{Text: "my email will not send"}, &again); code != http.StatusOK {
-		t.Fatalf("re-ask = %d", code)
-	}
-	if len(again.Results) < 2 {
-		t.Fatalf("re-ask results = %+v", again.Results)
 	}
 }

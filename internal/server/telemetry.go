@@ -7,7 +7,6 @@ import (
 
 	"kgvote/internal/admit"
 	"kgvote/internal/core"
-	"kgvote/internal/ppr"
 	"kgvote/internal/qa"
 	"kgvote/internal/telemetry"
 	"kgvote/internal/vote"
@@ -129,32 +128,6 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 		reg.GaugeFunc("kgvote_server_admission_clients",
 			"Clients tracked by the admission controller's bucket table.", nil,
 			shed(func(st admit.Stats) int64 { return int64(st.Clients) }))
-	}
-	if _, ok := s.sys.PushStats(); ok {
-		push := func(read func(ppr.IncrementalStats) float64) func() float64 {
-			return func() float64 {
-				st, _ := s.sys.PushStats()
-				return read(st)
-			}
-		}
-		reg.CounterFunc("kgvote_ppr_pushes_total",
-			"Push operations performed by the incremental scorer (cold solves + repairs).", nil,
-			push(func(st ppr.IncrementalStats) float64 { return float64(st.Pushes) }))
-		reg.GaugeFunc("kgvote_ppr_tracked_seeds",
-			"Seed vectors maintained incrementally by the push tracker.", nil,
-			push(func(st ppr.IncrementalStats) float64 { return float64(st.TrackedSeeds) }))
-		reg.GaugeFunc("kgvote_ppr_residual_mass",
-			"Summed certified additive error bound across tracked seeds.", nil,
-			push(func(st ppr.IncrementalStats) float64 { return st.ResidualMass }))
-		reg.CounterFunc("kgvote_ppr_cold_ranks_total",
-			"From-scratch push solves on the read path (untracked seeds).", nil,
-			push(func(st ppr.IncrementalStats) float64 { return float64(st.ColdRanks) }))
-		reg.CounterFunc("kgvote_ppr_rebuilds_total",
-			"Tracked seeds re-solved after their bound crossed the rebuild ceiling.", nil,
-			push(func(st ppr.IncrementalStats) float64 { return float64(st.Rebuilds) }))
-		reg.CounterFunc("kgvote_ppr_stale_fallbacks_total",
-			"Reads served by the exact enumerator because their snapshot trailed the tracker.", nil,
-			push(func(st ppr.IncrementalStats) float64 { return float64(st.StaleFallbacks) }))
 	}
 	if s.rep != nil {
 		rep := func(read func(vote.ReputationStats) int64) func() float64 {

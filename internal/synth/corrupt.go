@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 
+	"kgvote/internal/core"
 	"kgvote/internal/graph"
+	"kgvote/internal/qa"
 )
 
 // CorruptWeights injects multiplicative log-normal noise into every edge
@@ -46,4 +48,18 @@ func CorruptWeights(g *graph.Graph, sigma float64, seed int64) {
 			}
 		}
 	}
+}
+
+// CorruptSystem applies CorruptWeights to a built system's graph through
+// its engine (core.Engine.ApplyWeightSet), so the serving snapshot and the
+// engine's own ranking both see the corrupted weights: after construction
+// an engine's weights change only through the engine.
+func CorruptSystem(sys *qa.System, sigma float64, seed int64) error {
+	g := sys.Aug.Graph.Clone()
+	CorruptWeights(g, sigma, seed)
+	ws := make([]core.WeightChange, 0, g.NumEdges())
+	g.Edges(func(from, to graph.NodeID, w float64) {
+		ws = append(ws, core.WeightChange{From: from, To: to, Weight: w})
+	})
+	return sys.Engine.ApplyWeightSet(ws)
 }

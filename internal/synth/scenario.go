@@ -118,16 +118,6 @@ func (sc Scenario) withDefaults(questions int) Scenario {
 	return sc
 }
 
-// Adversarial reports whether the scenario models hostile traffic (as
-// opposed to honest-if-imperfect voters).
-func (sc Scenario) Adversarial() bool {
-	switch sc.Kind {
-	case SpamFlood, ColludingRing, Contradictory:
-		return true
-	}
-	return false
-}
-
 // SimulateScenario generates the scenario's vote stream against the
 // system. Every vote carries a voter identity derived from the scenario
 // name, and every record keeps its Question so callers can key

@@ -128,7 +128,7 @@ func GenerateWorkload(g *graph.Graph, cfg WorkloadConfig) (*Workload, error) {
 		w.Queries = append(w.Queries, q)
 	}
 
-	scorer, err := pathidx.NewScorer(g, pathidx.Options{L: cfg.L, C: cfg.C})
+	scorer, err := pathidx.NewCSRScorer(graph.Compile(g), pathidx.Options{L: cfg.L, C: cfg.C})
 	if err != nil {
 		return nil, err
 	}

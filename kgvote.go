@@ -110,6 +110,7 @@ func DefaultOptions() Options { return core.Defaults() }
 
 // NewEngine returns an optimization engine over g. The engine mutates g
 // in place as votes are applied; clone first to preserve the original.
+// From then on change weights only through the engine (see core.Engine).
 func NewEngine(g *Graph, opt Options) (*Engine, error) { return core.New(g, opt) }
 
 // NewVote builds a vote from a ranked list and the user's best choice,
