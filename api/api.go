@@ -4,9 +4,9 @@
 // of truth shared by the server (internal/server), the benchmark's load
 // generator (bench/), the thin HTTP client (api/client), and the examples.
 //
-// Versioning: all routes are mounted under the /v1 prefix. The
-// unprefixed legacy paths (/ask, /vote, ...) are deprecated aliases that
-// serve the same bodies and emit a Deprecation header; see API.md.
+// Versioning: every route is mounted under the /v1 prefix (and, on a
+// multi-tenant daemon, under /v1/t/{tenant}); there are no unprefixed
+// paths. See API.md.
 package api
 
 import (
@@ -29,26 +29,12 @@ type HealthBody struct {
 
 // StatsBody is the GET /v1/stats response, organized as named sections
 // behind stable keys: serving (always), durability / admission /
-// reputation / ppr / flush / shard / replica (when configured), and
-// tenants (multi-tenant daemons, un-scoped stats only).
-//
-// The flat top-level fields (entities, edges, votes_accepted, ...)
-// duplicate the serving section; they are deprecated and kept for one
-// release so existing scrapers keep working — see API.md.
+// reputation / flush / shard / replica (when configured), and tenants
+// (multi-tenant daemons, un-scoped stats only).
 type StatsBody struct {
-	Entities       int    `json:"entities"`
-	Edges          int    `json:"edges"`
-	Documents      int    `json:"documents"`
-	VotesAccepted  int    `json:"votes_accepted"`
-	VotesPending   int    `json:"votes_pending"`
-	Flushes        int    `json:"flushes"`
-	Epoch          uint64 `json:"epoch"`
-	PendingEvicted int64  `json:"pending_evicted"`
-	Draining       bool   `json:"draining,omitempty"`
 	// Tenant names the tenant this stats body describes; empty on
 	// un-tenanted daemons.
-	Tenant string `json:"tenant,omitempty"`
-	// Serving is the canonical home of the flat legacy fields above.
+	Tenant    string          `json:"tenant,omitempty"`
 	Serving   *ServingStats   `json:"serving,omitempty"`
 	Tenants   *TenantsStats   `json:"tenants,omitempty"`
 	Admission *AdmissionStats `json:"admission,omitempty"`
@@ -64,8 +50,7 @@ type StatsBody struct {
 }
 
 // ServingStats is the serving section of /v1/stats: the graph and vote
-// counters every daemon reports. It mirrors StatsBody's deprecated flat
-// fields one-for-one.
+// counters every daemon reports.
 type ServingStats struct {
 	Entities       int    `json:"entities"`
 	Edges          int    `json:"edges"`

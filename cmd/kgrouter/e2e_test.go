@@ -159,9 +159,9 @@ func TestClusterEndToEnd(t *testing.T) {
 	procs := make([]*managedProc, shards)
 	// Start shard 0 first so the map file exists before the others race
 	// to load it.
-	procs[0] = startProc(t, voted, addrs[0], "/healthz", shardArgs(0)...)
+	procs[0] = startProc(t, voted, addrs[0], "/v1/healthz", shardArgs(0)...)
 	for i := 1; i < shards; i++ {
-		procs[i] = startProc(t, voted, addrs[i], "/healthz", shardArgs(i)...)
+		procs[i] = startProc(t, voted, addrs[i], "/v1/healthz", shardArgs(i)...)
 	}
 
 	smap, err := shard.LoadFile(mapPath)
@@ -170,10 +170,10 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	replicaAddr := freeAddr(t)
-	startProc(t, voted, replicaAddr, "/healthz",
+	startProc(t, voted, replicaAddr, "/v1/healthz",
 		"-docs", "48", "-seed", "7", "-k", "48",
 		"-shard-map", mapPath, "-shard-index", "0",
-		"-replica", "-follow", addrs[0], "-follow-every", "100ms")
+		"-follow", addrs[0], "-follow-every", "100ms")
 
 	routerAddr := freeAddr(t)
 	base := "http://" + routerAddr
@@ -288,11 +288,11 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Restart the killed writer on the same data directory and address:
 	// it must recover its votes from the WAL and rejoin the fan-out.
-	procs[1] = startProc(t, voted, addrs[1], "/healthz", shardArgs(1)...)
+	procs[1] = startProc(t, voted, addrs[1], "/v1/healthz", shardArgs(1)...)
 	var st api.StatsBody
 	getJSON(t, "http://"+addrs[1]+"/v1/stats", &st)
-	if st.VotesAccepted != killedVotes {
-		t.Fatalf("recovered shard 1 has %d votes, want %d (WAL replay)", st.VotesAccepted, killedVotes)
+	if st.Serving.VotesAccepted != killedVotes {
+		t.Fatalf("recovered shard 1 has %d votes, want %d (WAL replay)", st.Serving.VotesAccepted, killedVotes)
 	}
 	if st.Shard == nil || st.Shard.Index != 1 {
 		t.Fatalf("recovered shard stats missing shard section: %+v", st.Shard)

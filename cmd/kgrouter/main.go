@@ -62,7 +62,7 @@ func run(addr, mapPath, shardsFlag, replicasFlag string, topK int, timeout, hedg
 	var endpoints []shard.ShardEndpoints
 	for _, w := range strings.Split(shardsFlag, ",") {
 		if w = strings.TrimSpace(w); w != "" {
-			endpoints = append(endpoints, shard.ShardEndpoints{Writer: normalizeURL(w)})
+			endpoints = append(endpoints, shard.ShardEndpoints{Writer: w})
 		}
 	}
 	if len(endpoints) != smap.Shards {
@@ -81,7 +81,7 @@ func run(addr, mapPath, shardsFlag, replicasFlag string, topK int, timeout, hedg
 			if err != nil || idx < 0 || idx >= smap.Shards {
 				return fmt.Errorf("-replicas item %q names an invalid shard index", item)
 			}
-			endpoints[idx].Replicas = append(endpoints[idx].Replicas, normalizeURL(rAddr))
+			endpoints[idx].Replicas = append(endpoints[idx].Replicas, rAddr)
 		}
 	}
 	rt, err := shard.NewRouter(shard.RouterOptions{
@@ -116,13 +116,4 @@ func run(addr, mapPath, shardsFlag, replicasFlag string, topK int, timeout, hedg
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return httpSrv.Shutdown(sctx)
-}
-
-// normalizeURL defaults a scheme-less address to http://.
-func normalizeURL(s string) string {
-	s = strings.TrimRight(s, "/")
-	if !strings.Contains(s, "://") {
-		return "http://" + s
-	}
-	return s
 }

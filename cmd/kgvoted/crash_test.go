@@ -39,7 +39,7 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-// startDaemon launches kgvoted and waits until /healthz answers.
+// startDaemon launches kgvoted and waits until /v1/healthz answers.
 func startDaemon(t *testing.T, bin, addr string, args ...string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin, append([]string{"-addr", addr}, args...)...)
@@ -57,7 +57,7 @@ func startDaemon(t *testing.T, bin, addr string, args ...string) *exec.Cmd {
 	})
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + addr + "/healthz")
+		resp, err := http.Get("http://" + addr + "/v1/healthz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -133,10 +133,12 @@ func rankingSignature(t *testing.T, base string) string {
 }
 
 type statsBody struct {
-	VotesAccepted int `json:"votes_accepted"`
-	VotesPending  int `json:"votes_pending"`
-	Flushes       int `json:"flushes"`
-	Durability    *struct {
+	Serving struct {
+		VotesAccepted int `json:"votes_accepted"`
+		VotesPending  int `json:"votes_pending"`
+		Flushes       int `json:"flushes"`
+	} `json:"serving"`
+	Durability *struct {
 		ReplayedRecords int  `json:"replayed_records"`
 		Failed          bool `json:"failed"`
 	} `json:"durability"`
@@ -172,13 +174,13 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 
 	cmd := startDaemon(t, bin, addr, common...)
 	for i := 0; i < 5; i++ { // batch=2: two flushes land, one vote pending
-		driveVote(t, base, i)
+		driveVote(t, base+"/v1", i)
 	}
-	before := getStatsBody(t, base)
-	if before.VotesAccepted != 5 || before.Flushes != 2 || before.VotesPending != 1 {
+	before := getStatsBody(t, base+"/v1")
+	if before.Serving.VotesAccepted != 5 || before.Serving.Flushes != 2 || before.Serving.VotesPending != 1 {
 		t.Fatalf("pre-crash stats = %+v", before)
 	}
-	sig := rankingSignature(t, base)
+	sig := rankingSignature(t, base+"/v1")
 
 	if err := cmd.Process.Kill(); err != nil { // SIGKILL: no checkpoint, no WAL close
 		t.Fatal(err)
@@ -188,14 +190,14 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	addr2 := freeAddr(t)
 	base2 := "http://" + addr2
 	startDaemon(t, bin, addr2, common...)
-	after := getStatsBody(t, base2)
-	if after.VotesAccepted != 5 || after.Flushes != 2 || after.VotesPending != 1 {
+	after := getStatsBody(t, base2+"/v1")
+	if after.Serving.VotesAccepted != 5 || after.Serving.Flushes != 2 || after.Serving.VotesPending != 1 {
 		t.Fatalf("post-recovery stats = %+v (want 5 votes, 2 flushes, 1 pending)", after)
 	}
 	if after.Durability == nil || after.Durability.ReplayedRecords == 0 {
 		t.Fatalf("recovery did not replay the WAL tail: %+v", after.Durability)
 	}
-	if got := rankingSignature(t, base2); got != sig {
+	if got := rankingSignature(t, base2+"/v1"); got != sig {
 		t.Fatalf("post-recovery ranking differs:\n pre  %s\n post %s", sig, got)
 	}
 	// Telemetry must come back sane: the scrape passes the exposition
@@ -215,9 +217,9 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatalf("kgvote_core_epoch = %g, want > 0 after recovery rebuilt the snapshot", v)
 	}
 	// The recovered daemon keeps accepting votes, and the metric follows.
-	driveVote(t, base2, 1)
-	final := getStatsBody(t, base2)
-	if final.VotesAccepted != 6 {
+	driveVote(t, base2+"/v1", 1)
+	final := getStatsBody(t, base2+"/v1")
+	if final.Serving.VotesAccepted != 6 {
 		t.Fatalf("vote after recovery not counted: %+v", final)
 	}
 	if v := mustValue(t, scrapeMetrics(t, base2), "kgvote_server_votes_accepted_total", nil); v != 6 {
@@ -240,9 +242,9 @@ func TestGracefulShutdownCheckpoints(t *testing.T) {
 
 	cmd := startDaemon(t, bin, addr, common...)
 	for i := 0; i < 4; i++ {
-		driveVote(t, base, i)
+		driveVote(t, base+"/v1", i)
 	}
-	sig := rankingSignature(t, base)
+	sig := rankingSignature(t, base+"/v1")
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +255,11 @@ func TestGracefulShutdownCheckpoints(t *testing.T) {
 	addr2 := freeAddr(t)
 	base2 := "http://" + addr2
 	startDaemon(t, bin, addr2, common...)
-	after := getStatsBody(t, base2)
-	if after.VotesAccepted != 4 || after.Flushes != 2 {
+	after := getStatsBody(t, base2+"/v1")
+	if after.Serving.VotesAccepted != 4 || after.Serving.Flushes != 2 {
 		t.Fatalf("post-restart stats = %+v (want 4 votes, 2 flushes)", after)
 	}
-	if got := rankingSignature(t, base2); got != sig {
+	if got := rankingSignature(t, base2+"/v1"); got != sig {
 		t.Fatalf("post-restart ranking differs:\n pre  %s\n post %s", sig, got)
 	}
 }

@@ -64,10 +64,10 @@ func TestDrainFlushesPendingAndCheckpoints(t *testing.T) {
 
 	cmd := startDaemon(t, bin, addr, common...)
 	for i := 0; i < 5; i++ {
-		driveVote(t, base, i)
+		driveVote(t, base+"/v1", i)
 	}
-	before := getStatsBody(t, base)
-	if before.VotesAccepted != 5 || before.VotesPending != 5 || before.Flushes != 0 {
+	before := getStatsBody(t, base+"/v1")
+	if before.Serving.VotesAccepted != 5 || before.Serving.VotesPending != 5 || before.Serving.Flushes != 0 {
 		t.Fatalf("pre-drain stats = %+v", before)
 	}
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
@@ -79,8 +79,8 @@ func TestDrainFlushesPendingAndCheckpoints(t *testing.T) {
 
 	addr2 := freeAddr(t)
 	startDaemon(t, bin, addr2, common...)
-	after := getStatsBody(t, "http://"+addr2)
-	if after.VotesAccepted != 5 || after.Flushes != 1 || after.VotesPending != 0 {
+	after := getStatsBody(t, "http://"+addr2+"/v1")
+	if after.Serving.VotesAccepted != 5 || after.Serving.Flushes != 1 || after.Serving.VotesPending != 0 {
 		t.Fatalf("post-restart stats = %+v (want 5 votes, 1 flush from the drain, 0 pending)", after)
 	}
 	// The only record past the drain checkpoint's barrier is its own
@@ -108,7 +108,7 @@ func TestDrainLosesNoAdmittedVotes(t *testing.T) {
 
 	cmd := startDaemon(t, bin, addr, common...)
 	for i := 0; i < 4; i++ { // a few guaranteed-admitted votes before the storm
-		driveVote(t, base, i)
+		driveVote(t, base+"/v1", i)
 	}
 	var (
 		admitted atomic.Int64
@@ -141,14 +141,14 @@ func TestDrainLosesNoAdmittedVotes(t *testing.T) {
 
 	addr2 := freeAddr(t)
 	startDaemon(t, bin, addr2, common...)
-	after := getStatsBody(t, "http://"+addr2)
+	after := getStatsBody(t, "http://"+addr2+"/v1")
 	want := int(admitted.Load())
-	if after.VotesAccepted != want {
+	if after.Serving.VotesAccepted != want {
 		t.Fatalf("recovered votes_accepted = %d, want %d (every 200 must survive the drain)",
-			after.VotesAccepted, want)
+			after.Serving.VotesAccepted, want)
 	}
-	if after.VotesPending != 0 {
-		t.Fatalf("restart found %d pending votes; the drain should have flushed them", after.VotesPending)
+	if after.Serving.VotesPending != 0 {
+		t.Fatalf("restart found %d pending votes; the drain should have flushed them", after.Serving.VotesPending)
 	}
 	if after.Durability != nil && after.Durability.Failed {
 		t.Fatalf("durability poisoned after drain: %+v", after.Durability)

@@ -1,8 +1,8 @@
 // Command kgvoted serves a Q&A system over HTTP: POST /v1/ask ranks
 // answers, POST /v1/vote records feedback (optimizing the knowledge
 // graph in batches), POST /v1/explain decomposes a score into its graph
-// walks, and GET /v1/stats reports counters. Unversioned paths still
-// work as deprecated aliases. See API.md for the wire contract.
+// walks, and GET /v1/stats reports counters. Every route lives under
+// /v1; see API.md for the wire contract.
 //
 // With -data-dir the daemon is durable: every accepted vote is written to
 // a write-ahead log before it is applied, full-state checkpoints are taken
@@ -24,6 +24,12 @@
 //	kgvoted -addr :8080 -docs 200            # synthetic corpus
 //	kgvoted -addr :8080 -data-dir /var/lib/kgvote -fsync always
 //	kgvoted -addr :8080 -queue-cap 1024 -vote-rate 50 -async-flush
+//
+// With -tenants the process hosts one such stack per tenant behind
+// /v1/t/{tenant} (DESIGN.md §17); -queue-cap and -vote-rate then bound
+// each tenant's stack. With -shard-map it serves one shard of a
+// partitioned cluster, and -follow <writer> makes it a read-only replica
+// of that shard's writer (DESIGN.md §14).
 package main
 
 import (
@@ -40,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"kgvote/api"
 	"kgvote/internal/admit"
 	"kgvote/internal/core"
 	"kgvote/internal/durable"
@@ -48,6 +55,7 @@ import (
 	"kgvote/internal/shard"
 	"kgvote/internal/synth"
 	"kgvote/internal/telemetry"
+	"kgvote/internal/tenant"
 	"kgvote/internal/vote"
 	"kgvote/internal/wal"
 )
@@ -79,13 +87,10 @@ type config struct {
 	shardIndex  int
 	shardInit   int
 	peers       string
-	replica     bool
 	follow      string
 	followEvery time.Duration
 
-	tenants        string
-	tenantQueueCap int
-	tenantVoteRate float64
+	tenants string
 
 	metrics bool
 	slowMS  int
@@ -117,25 +122,21 @@ func main() {
 	flag.IntVar(&cfg.shardIndex, "shard-index", 0, "this process's shard index within -shard-map")
 	flag.IntVar(&cfg.shardInit, "shard-init", 0, "create -shard-map for N shards if the file does not exist (seeded by -seed; all processes must agree)")
 	flag.StringVar(&cfg.peers, "peers", "", "comma-separated peer shard writer base URLs: replicate each flush's weight set to them")
-	flag.BoolVar(&cfg.replica, "replica", false, "run as a read-only snapshot replica of -follow (requires -shard-map; excludes -data-dir, -peers)")
 	flag.StringVar(&cfg.follow, "follow", "", "writer base URL this replica polls for snapshots")
 	flag.DurationVar(&cfg.followEvery, "follow-every", 500*time.Millisecond, "replica snapshot poll interval")
 	flag.StringVar(&cfg.tenants, "tenants", "", "comma-separated tenant ids: host each as an independent stack behind /v1/t/{tenant} (DESIGN.md §17); a default tenant serving the un-prefixed /v1 routes always exists")
-	flag.IntVar(&cfg.tenantQueueCap, "tenant-queue-cap", 0, "per-tenant pending-vote queue bound with -tenants (0 = inherit -queue-cap)")
-	flag.Float64Var(&cfg.tenantVoteRate, "tenant-vote-rate", 0, "per-tenant per-client votes/sec with -tenants (0 = inherit -vote-rate)")
 	flag.BoolVar(&cfg.metrics, "metrics", true, "serve Prometheus metrics at GET /metrics and profiling at /debug/pprof/")
 	flag.IntVar(&cfg.slowMS, "slow-ms", 1000, "log requests slower than this many milliseconds, with their stage trace (0 disables)")
 	flag.Parse()
-	run := serve
-	if cfg.tenants != "" || cfg.tenantQueueCap > 0 || cfg.tenantVoteRate > 0 {
-		run = serveTenants
-	}
-	if err := run(cfg); err != nil {
+	if err := serve(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "kgvoted:", err)
 		os.Exit(1)
 	}
 }
 
+// serve checks cfg, builds the single stack or (with -tenants) the
+// tenant registry, and runs it until SIGINT/SIGTERM. Every bad flag
+// combination is rejected before anything is built or bound.
 func serve(cfg config) error {
 	var solver core.StreamSolver
 	switch cfg.solverName {
@@ -148,129 +149,42 @@ func serve(cfg config) error {
 	default:
 		return fmt.Errorf("unknown solver %q (multi, sm, single)", cfg.solverName)
 	}
-	opts := core.Options{K: cfg.k, L: cfg.l, Workers: cfg.workers}
-	if cfg.replica {
-		if cfg.follow == "" {
-			return errors.New("-replica requires -follow (the writer to poll snapshots from)")
+	ids := splitAddrs(cfg.tenants)
+	if cfg.tenants != "" && (cfg.shardMap != "" || cfg.peers != "" || cfg.follow != "") {
+		return errors.New("-tenants excludes -shard-map, -peers, and -follow (shard a tenant by running it as its own cluster)")
+	}
+	for _, id := range ids {
+		if !tenant.ValidID(id) || id == "admin" {
+			return fmt.Errorf("-tenants: invalid tenant id %q (want ^[a-z0-9][a-z0-9_-]{0,63}$, not \"admin\")", id)
 		}
+	}
+	if cfg.follow != "" {
 		if cfg.shardMap == "" {
-			return errors.New("-replica requires -shard-map (the replica serves its writer's document slice)")
+			return errors.New("-follow requires -shard-map (the replica serves its writer's document slice)")
 		}
 		if cfg.dataDir != "" || cfg.peers != "" {
-			return errors.New("-replica state is ephemeral (re-synced from the writer); it excludes -data-dir and -peers")
+			return errors.New("-follow state is ephemeral (re-synced from the writer); it excludes -data-dir and -peers")
 		}
 	}
 	if cfg.peers != "" && cfg.shardMap == "" {
 		return errors.New("-peers requires -shard-map")
 	}
-
-	var smap *shard.Map
-	if cfg.shardMap != "" {
-		var err error
-		if cfg.shardInit > 0 {
-			if _, serr := os.Stat(cfg.shardMap); errors.Is(serr, os.ErrNotExist) {
-				m, merr := shard.NewMap(cfg.shardInit, uint64(cfg.seed))
-				if merr != nil {
-					return merr
-				}
-				// Concurrent creators race benignly: the file content is
-				// deterministic in (N, seed) and the write is atomic.
-				if werr := m.WriteFile(cfg.shardMap); werr != nil {
-					return werr
-				}
-				log.Printf("kgvoted: wrote shard map %s (%d shards, seed %d)", cfg.shardMap, cfg.shardInit, cfg.seed)
-			}
-		}
-		smap, err = shard.LoadFile(cfg.shardMap)
-		if err != nil {
-			return err
-		}
-		if cfg.shardIndex < 0 || cfg.shardIndex >= smap.Shards {
-			return fmt.Errorf("-shard-index %d out of range for %d shards", cfg.shardIndex, smap.Shards)
-		}
+	smap, err := loadShardMap(cfg)
+	if err != nil {
+		return err
 	}
 
 	var reg *telemetry.Registry
 	if cfg.metrics {
 		reg = telemetry.NewRegistry()
 	}
-
-	var (
-		mgr *durable.Manager
-		rec *durable.Recovered
-		sys *qa.System
-		err error
-	)
-	if cfg.dataDir != "" {
-		policy, err := wal.ParseSyncPolicy(cfg.fsync)
-		if err != nil {
-			return err
-		}
-		mgr, err = durable.Open(durable.Options{
-			Dir:       cfg.dataDir,
-			Fsync:     policy,
-			SyncEvery: cfg.syncEvery,
-			Engine:    opts,
-			Metrics:   durable.NewMetrics(reg),
-		})
-		if err != nil {
-			return err
-		}
-		defer mgr.Close()
-		rec, err = mgr.Recover()
-		if err != nil {
-			return err
-		}
-	}
-	if rec != nil {
-		sys = rec.Sys
-		log.Printf("kgvoted: recovered from %s: checkpoint at wal seq %d, %d records replayed, %d pending votes",
-			cfg.dataDir, rec.CheckpointSeq, rec.Records, len(rec.Pending))
-	} else {
-		sys, err = loadOrBuild(cfg.corpusPath, cfg.docs, cfg.seed, opts)
-		if err != nil {
-			return err
-		}
-		if mgr != nil {
-			if err := mgr.Bootstrap(sys); err != nil {
-				return err
-			}
-			log.Printf("kgvoted: initialized data directory %s", cfg.dataDir)
-		}
-	}
-	// The pusher needs the server's export hook and the server needs the
-	// pusher's publish hook; break the cycle with a late-bound srv.
-	var srv *server.Server
-	var shardCfg *server.ShardConfig
-	if smap != nil {
-		shardCfg = &server.ShardConfig{Map: smap, Index: cfg.shardIndex}
-		if !cfg.replica && cfg.peers != "" {
-			peers := splitAddrs(cfg.peers)
-			for i, p := range peers {
-				peers[i] = normalizeURL(p)
-			}
-			pusher, err := shard.NewPusher(shard.PusherOptions{
-				Source: cfg.shardIndex,
-				Peers:  peers,
-				Export: func() ([]core.WeightChange, uint64) { return srv.ExportReplicated() },
-			})
-			if err != nil {
-				return err
-			}
-			defer pusher.Close()
-			shardCfg.OnFlush = pusher.Publish
-			log.Printf("kgvoted: shard %d/%d replicating flushes to %s", cfg.shardIndex, smap.Shards, strings.Join(peers, ", "))
-		}
-	}
 	var repCfg *vote.ReputationConfig
 	if cfg.reputation {
 		repCfg = &vote.ReputationConfig{}
 	}
-	srv, err = server.NewWithOptions(sys, server.Options{
+	base := server.Options{
 		BatchSize:       cfg.batch,
 		Solver:          solver,
-		Durable:         mgr,
-		Recovered:       rec,
 		CheckpointEvery: cfg.checkpointEvery,
 		Admission: admit.Config{
 			Capacity:       cfg.queueCap,
@@ -282,16 +196,71 @@ func serve(cfg config) error {
 		FlushTimeout:  cfg.flushTimeout,
 		Telemetry:     reg,
 		SlowThreshold: time.Duration(cfg.slowMS) * time.Millisecond,
-		Pprof:         cfg.metrics,
-		ReadOnly:      cfg.replica,
-		Shard:         shardCfg,
-	})
+	}
+
+	if cfg.tenants != "" {
+		// Each tenant gets its own stack under <data-dir>/tenants/<id>,
+		// with a tenant-labelled view of the shared telemetry registry.
+		// Only the default tenant mounts the process-wide /metrics and
+		// pprof, and embeds the registry summary (late-bound treg) in
+		// its stats.
+		var treg *tenant.Registry
+		factory := func(id, dir string) (*server.Server, func() error, error) {
+			o := base
+			o.Tenant = id
+			o.Telemetry = reg.WithLabels(telemetry.Labels{"tenant": id})
+			if id == server.DefaultTenant {
+				o.Pprof = cfg.metrics
+				o.Tenants = func() *api.TenantsStats {
+					s := treg.Summary()
+					return &s
+				}
+			}
+			return newStack(cfg, dir, o)
+		}
+		treg = tenant.New(tenant.Options{Factory: factory, DataDir: cfg.dataDir, Telemetry: reg})
+		if err := treg.Open(ids); err != nil {
+			return err
+		}
+		log.Printf("kgvoted: serving %d tenants (%s) on %s", len(treg.IDs()), strings.Join(treg.IDs(), ", "), cfg.addr)
+		for _, t := range treg.Summary().Tenants {
+			if t.State == "failed" {
+				log.Printf("kgvoted: tenant %q quarantined: %s", t.ID, t.Error)
+			}
+		}
+		return run(cfg, treg.Handler(), treg.BeginDrain, treg.Close)
+	}
+
+	// The pusher needs the server's export hook and the server needs the
+	// pusher's publish hook; break the cycle with a late-bound srv.
+	var srv *server.Server
+	o := base
+	o.Pprof = cfg.metrics
+	o.ReadOnly = cfg.follow != ""
+	if smap != nil {
+		o.Shard = &server.ShardConfig{Map: smap, Index: cfg.shardIndex}
+		if cfg.peers != "" {
+			pusher, err := shard.NewPusher(shard.PusherOptions{
+				Source: cfg.shardIndex,
+				Peers:  splitAddrs(cfg.peers),
+				Export: func() ([]core.WeightChange, uint64) { return srv.ExportReplicated() },
+			})
+			if err != nil {
+				return err
+			}
+			defer pusher.Close()
+			o.Shard.OnFlush = pusher.Publish
+			log.Printf("kgvoted: shard %d/%d replicating flushes to %s", cfg.shardIndex, smap.Shards, cfg.peers)
+		}
+	}
+	srv, closeStack, err := newStack(cfg, cfg.dataDir, o)
 	if err != nil {
 		return err
 	}
-	if cfg.replica {
+	defer closeStack()
+	if cfg.follow != "" {
 		follower, err := shard.NewFollower(shard.FollowerOptions{
-			Writer: normalizeURL(cfg.follow),
+			Writer: cfg.follow,
 			Every:  cfg.followEvery,
 			Apply:  srv.ImportSnapshot,
 			OnSync: srv.ReportReplica,
@@ -302,10 +271,109 @@ func serve(cfg config) error {
 		defer follower.Close()
 		log.Printf("kgvoted: replica of %s (shard %d/%d), polling every %s", cfg.follow, cfg.shardIndex, smap.Shards, cfg.followEvery)
 	}
+	st := srv.StatsLocal().Serving
 	log.Printf("kgvoted: %d documents, %d entities, %d edges; batch=%d solver=%s; listening on %s",
-		len(sys.Corpus.Docs), sys.Aug.Entities, sys.Aug.NumEdges(), cfg.batch, cfg.solverName, cfg.addr)
+		st.Documents, st.Entities, st.Edges, cfg.batch, cfg.solverName, cfg.addr)
+	return run(cfg, srv.Handler(), srv.BeginDrain, srv.Drain)
+}
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv.Handler()}
+// loadShardMap loads -shard-map (creating it first under -shard-init)
+// and checks -shard-index against it; nil without -shard-map.
+func loadShardMap(cfg config) (*shard.Map, error) {
+	if cfg.shardMap == "" {
+		return nil, nil
+	}
+	if cfg.shardInit > 0 {
+		if _, err := os.Stat(cfg.shardMap); errors.Is(err, os.ErrNotExist) {
+			m, err := shard.NewMap(cfg.shardInit, uint64(cfg.seed))
+			if err != nil {
+				return nil, err
+			}
+			// Concurrent creators race benignly: the file content is
+			// deterministic in (N, seed) and the write is atomic.
+			if err := m.WriteFile(cfg.shardMap); err != nil {
+				return nil, err
+			}
+			log.Printf("kgvoted: wrote shard map %s (%d shards, seed %d)", cfg.shardMap, cfg.shardInit, cfg.seed)
+		}
+	}
+	smap, err := shard.LoadFile(cfg.shardMap)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.shardIndex < 0 || cfg.shardIndex >= smap.Shards {
+		return nil, fmt.Errorf("-shard-index %d out of range for %d shards", cfg.shardIndex, smap.Shards)
+	}
+	return smap, nil
+}
+
+// newStack builds one serving stack over dir: durable when dir is set,
+// ephemeral otherwise. The returned closer releases the durable manager
+// once the server has drained; it is never nil.
+func newStack(cfg config, dir string, o server.Options) (*server.Server, func() error, error) {
+	engine := core.Options{K: cfg.k, L: cfg.l, Workers: cfg.workers}
+	closer := func() error { return nil }
+	if dir != "" {
+		policy, err := wal.ParseSyncPolicy(cfg.fsync)
+		if err != nil {
+			return nil, nil, err
+		}
+		mgr, err := durable.Open(durable.Options{
+			Dir:       dir,
+			Fsync:     policy,
+			SyncEvery: cfg.syncEvery,
+			Engine:    engine,
+			Metrics:   durable.NewMetrics(o.Telemetry),
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		o.Durable, closer = mgr, mgr.Close
+	}
+	srv, err := bootServer(cfg, dir, engine, o)
+	if err != nil {
+		closer()
+		return nil, nil, err
+	}
+	return srv, closer, nil
+}
+
+// bootServer recovers o.Durable's state or, on first boot (and always
+// without durability), builds the corpus and bootstraps o.Durable with
+// it, then returns a server over the result.
+func bootServer(cfg config, dir string, engine core.Options, o server.Options) (*server.Server, error) {
+	if o.Durable != nil {
+		rec, err := o.Durable.Recover()
+		if err != nil {
+			return nil, err
+		}
+		if rec != nil {
+			log.Printf("kgvoted: recovered from %s: checkpoint at wal seq %d, %d records replayed, %d pending votes",
+				dir, rec.CheckpointSeq, rec.Records, len(rec.Pending))
+			o.Recovered = rec
+			return server.NewWithOptions(rec.Sys, o)
+		}
+	}
+	sys, err := loadOrBuild(cfg.corpusPath, cfg.docs, cfg.seed, engine)
+	if err != nil {
+		return nil, err
+	}
+	if o.Durable != nil {
+		if err := o.Durable.Bootstrap(sys); err != nil {
+			return nil, err
+		}
+		log.Printf("kgvoted: initialized data directory %s", dir)
+	}
+	return server.NewWithOptions(sys, o)
+}
+
+// run serves h on cfg.addr until SIGINT/SIGTERM, then drains gracefully
+// (DESIGN.md §12): stop admitting writes first so in-flight requests and
+// the listener shutdown race nothing, then let the HTTP server finish
+// what it already accepted, then flush the queued remainder and
+// checkpoint. Reads keep serving throughout the listener's grace period.
+func run(cfg config, h http.Handler, beginDrain func(), drain func(context.Context) error) error {
+	httpSrv := &http.Server{Addr: cfg.addr, Handler: h}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -315,13 +383,8 @@ func serve(cfg config) error {
 		return err
 	case <-ctx.Done():
 	}
-	// Graceful drain (DESIGN.md §12): stop admitting writes first so
-	// in-flight requests and the listener shutdown race nothing, then let
-	// the HTTP server finish what it already accepted, then flush the
-	// queued remainder and checkpoint. Reads keep serving throughout the
-	// listener's grace period.
 	log.Printf("kgvoted: draining (writes rejected, %s budget)", cfg.drainTimeout)
-	srv.BeginDrain()
+	beginDrain()
 	dctx := context.Background()
 	if cfg.drainTimeout > 0 {
 		var cancel context.CancelFunc
@@ -332,21 +395,13 @@ func serve(cfg config) error {
 		log.Printf("kgvoted: listener shutdown: %v (closing)", err)
 		_ = httpSrv.Close()
 	}
-	if err := srv.Drain(dctx); err != nil {
+	if err := drain(dctx); err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
-	if mgr != nil {
+	if cfg.dataDir != "" {
 		log.Printf("kgvoted: drained and checkpointed to %s", cfg.dataDir)
 	}
 	return nil
-}
-
-// normalizeURL defaults a scheme-less address to http://.
-func normalizeURL(s string) string {
-	if !strings.Contains(s, "://") {
-		return "http://" + s
-	}
-	return strings.TrimRight(s, "/")
 }
 
 // splitAddrs parses a comma-separated list, tolerating spaces and empty items.

@@ -62,9 +62,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"-data-dir", dataDir, "-docs", "40", "-batch", "2", "-fsync", "always", "-slow-ms", "0")
 
 	for i := 0; i < 3; i++ { // batch=2: one flush lands, one vote pending
-		driveVote(t, base, i)
+		driveVote(t, base+"/v1", i)
 	}
-	if code := postJSON(t, base+"/flush", map[string]any{}, nil); code != http.StatusOK {
+	if code := postJSON(t, base+"/v1/flush", map[string]any{}, nil); code != http.StatusOK {
 		t.Fatalf("flush = %d", code)
 	}
 
@@ -120,7 +120,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// More traffic, then the second scrape: counters move up by exactly
 	// the delta driven.
 	for i := 0; i < 2; i++ {
-		driveVote(t, base, i)
+		driveVote(t, base+"/v1", i)
 	}
 	second := scrapeMetrics(t, base)
 
@@ -184,5 +184,5 @@ func TestMetricsDisabled(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/debug/pprof/ with -metrics=false = %d, want 404", resp.StatusCode)
 	}
-	driveVote(t, base, 0) // API still works
+	driveVote(t, base+"/v1", 0) // API still works
 }

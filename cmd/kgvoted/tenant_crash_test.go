@@ -39,7 +39,7 @@ func TestTenantCrashRecoveryEndToEnd(t *testing.T) {
 	for _, id := range tenants {
 		sigs[id] = rankingSignature(t, base+"/v1/t/"+id)
 	}
-	defSig := rankingSignature(t, base)
+	defSig := rankingSignature(t, base+"/v1")
 
 	if err := cmd.Process.Kill(); err != nil { // SIGKILL: no checkpoints, no WAL close
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestTenantCrashRecoveryEndToEnd(t *testing.T) {
 		wantVotes := i + 3
 		wantFlushes := wantVotes / 2
 		wantPending := wantVotes % 2
-		if st.VotesAccepted != wantVotes || st.Flushes != wantFlushes || st.VotesPending != wantPending {
+		if st.Serving.VotesAccepted != wantVotes || st.Serving.Flushes != wantFlushes || st.Serving.VotesPending != wantPending {
 			t.Fatalf("tenant %s post-recovery stats = %+v (want %d votes, %d flushes, %d pending)",
 				id, st, wantVotes, wantFlushes, wantPending)
 		}
@@ -67,10 +67,10 @@ func TestTenantCrashRecoveryEndToEnd(t *testing.T) {
 		}
 	}
 	// The default tenant saw no votes and recovers the pristine ranking.
-	if st := getStatsBody(t, base2); st.VotesAccepted != 0 {
-		t.Fatalf("default tenant votes_accepted = %d, want 0", st.VotesAccepted)
+	if st := getStatsBody(t, base2+"/v1"); st.Serving.VotesAccepted != 0 {
+		t.Fatalf("default tenant votes_accepted = %d, want 0", st.Serving.VotesAccepted)
 	}
-	if got := rankingSignature(t, base2); got != defSig {
+	if got := rankingSignature(t, base2+"/v1"); got != defSig {
 		t.Fatalf("default tenant ranking changed across crash:\n pre  %s\n post %s", defSig, got)
 	}
 
@@ -100,11 +100,11 @@ func TestTenantCrashRecoveryEndToEnd(t *testing.T) {
 
 	// Recovered tenants keep accepting votes independently.
 	driveVote(t, base2+"/v1/t/alpha", 1)
-	if st := getStatsBody(t, base2+"/v1/t/alpha"); st.VotesAccepted != 4 {
-		t.Fatalf("alpha votes after recovery = %d, want 4", st.VotesAccepted)
+	if st := getStatsBody(t, base2+"/v1/t/alpha"); st.Serving.VotesAccepted != 4 {
+		t.Fatalf("alpha votes after recovery = %d, want 4", st.Serving.VotesAccepted)
 	}
-	if st := getStatsBody(t, base2+"/v1/t/beta"); st.VotesAccepted != 4 {
-		t.Fatalf("beta votes unchanged = %d, want 4", st.VotesAccepted)
+	if st := getStatsBody(t, base2+"/v1/t/beta"); st.Serving.VotesAccepted != 4 {
+		t.Fatalf("beta votes unchanged = %d, want 4", st.Serving.VotesAccepted)
 	}
 
 	// Per-tenant metric labels survive recovery.

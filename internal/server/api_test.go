@@ -130,53 +130,6 @@ func TestErrorEnvelopeShape(t *testing.T) {
 	}
 }
 
-func TestLegacyAliasDeprecationHeaders(t *testing.T) {
-	_, ts := newTestServer(t, 100)
-	for _, path := range []string{"/healthz", "/stats"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if got := resp.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("legacy %s Deprecation header = %q, want \"true\"", path, got)
-		}
-		if got := resp.Header.Get("Link"); got != fmt.Sprintf("</v1%s>; rel=\"successor-version\"", path) {
-			t.Errorf("legacy %s Link header = %q", path, got)
-		}
-		v1, err := http.Get(ts.URL + "/v1" + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1.Body.Close()
-		if got := v1.Header.Get("Deprecation"); got != "" {
-			t.Errorf("/v1%s carries a Deprecation header %q", path, got)
-		}
-	}
-	// The alias serves the same body.
-	legacy, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ls StatsBody
-	if err := json.NewDecoder(legacy.Body).Decode(&ls); err != nil {
-		t.Fatal(err)
-	}
-	legacy.Body.Close()
-	v1, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vs StatsBody
-	if err := json.NewDecoder(v1.Body).Decode(&vs); err != nil {
-		t.Fatal(err)
-	}
-	v1.Body.Close()
-	if ls.Documents != vs.Documents || ls.Entities != vs.Entities {
-		t.Errorf("legacy and /v1 stats disagree: %+v vs %+v", ls, vs)
-	}
-}
-
 func TestVoteShedQueueFull(t *testing.T) {
 	srv, ts := newAdmitServer(t, Options{
 		BatchSize: 100, Solver: core.StreamMulti,
@@ -309,7 +262,7 @@ func TestDrainRejectsWritesKeepsReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	sresp.Body.Close()
-	if !stats.Draining {
+	if !stats.Serving.Draining {
 		t.Error("stats.Draining = false during drain")
 	}
 }

@@ -20,7 +20,7 @@ func TestAskServesDuringWriterStall(t *testing.T) {
 
 	// Warm ask while unlocked to learn the epoch.
 	var warm AskResponse
-	if code := post(t, ts.URL+"/ask", AskRequest{Text: "my email will not send"}, &warm); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/ask", AskRequest{Text: "my email will not send"}, &warm); code != http.StatusOK {
 		t.Fatalf("warm ask = %d", code)
 	}
 
@@ -33,7 +33,7 @@ func TestAskServesDuringWriterStall(t *testing.T) {
 	go func() {
 		var r result
 		b, _ := json.Marshal(AskRequest{Text: "configure my outlook account"})
-		resp, err := http.Post(ts.URL+"/ask", "application/json", bytes.NewReader(b))
+		resp, err := http.Post(ts.URL+"/v1/ask", "application/json", bytes.NewReader(b))
 		if err != nil {
 			done <- result{code: -1}
 			return
@@ -65,7 +65,7 @@ func TestAskServesDuringWriterStall(t *testing.T) {
 	// /stats must be lock-free too.
 	statsDone := make(chan int, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + "/stats")
+		resp, err := http.Get(ts.URL + "/v1/stats")
 		if err != nil {
 			statsDone <- -1
 			return
@@ -116,7 +116,7 @@ func TestConcurrentAskVoteFlush(t *testing.T) {
 				default:
 				}
 				var ask AskResponse
-				code := post(t, ts.URL+"/ask", AskRequest{Text: texts[(w+i)%len(texts)]}, &ask)
+				code := post(t, ts.URL+"/v1/ask", AskRequest{Text: texts[(w+i)%len(texts)]}, &ask)
 				if code != http.StatusOK {
 					t.Errorf("concurrent ask = %d", code)
 					return
@@ -142,7 +142,7 @@ func TestConcurrentAskVoteFlush(t *testing.T) {
 	var epochs []uint64
 	for i := 0; i < 6; i++ {
 		var ask AskResponse
-		if code := post(t, ts.URL+"/ask", AskRequest{Text: texts[i%len(texts)]}, &ask); code != http.StatusOK {
+		if code := post(t, ts.URL+"/v1/ask", AskRequest{Text: texts[i%len(texts)]}, &ask); code != http.StatusOK {
 			t.Fatalf("writer ask = %d", code)
 		}
 		if len(ask.Results) < 2 {
@@ -153,12 +153,12 @@ func TestConcurrentAskVoteFlush(t *testing.T) {
 			ranked[j] = r.Doc
 		}
 		var vr VoteResponse
-		if code := post(t, ts.URL+"/vote", VoteRequest{Query: ask.Query, Ranked: ranked, BestDoc: ranked[1]}, &vr); code != http.StatusOK {
+		if code := post(t, ts.URL+"/v1/vote", VoteRequest{Query: ask.Query, Ranked: ranked, BestDoc: ranked[1]}, &vr); code != http.StatusOK {
 			t.Fatalf("writer vote = %d", code)
 		}
 		if vr.Flushed {
 			var stats StatsBody
-			resp, err := http.Get(ts.URL + "/stats")
+			resp, err := http.Get(ts.URL + "/v1/stats")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,11 +166,11 @@ func TestConcurrentAskVoteFlush(t *testing.T) {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
-			epochs = append(epochs, stats.Epoch)
+			epochs = append(epochs, stats.Serving.Epoch)
 		}
 	}
 	var fr VoteResponse
-	if code := post(t, ts.URL+"/flush", struct{}{}, &fr); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/flush", struct{}{}, &fr); code != http.StatusOK {
 		t.Fatalf("final flush = %d", code)
 	}
 	close(stop)

@@ -34,7 +34,7 @@ func buildTestSystem(t *testing.T) *qa.System {
 func askAndVote(t *testing.T, url string, best int) VoteResponse {
 	t.Helper()
 	var ask AskResponse
-	if code := post(t, url+"/ask", AskRequest{Entities: map[string]int{"email": 2, "send": 1}}, &ask); code != http.StatusOK {
+	if code := post(t, url+"/v1/ask", AskRequest{Entities: map[string]int{"email": 2, "send": 1}}, &ask); code != http.StatusOK {
 		t.Fatalf("ask = %d", code)
 	}
 	ranked := make([]int, len(ask.Results))
@@ -42,7 +42,7 @@ func askAndVote(t *testing.T, url string, best int) VoteResponse {
 		ranked[i] = r.Doc
 	}
 	var vr VoteResponse
-	if code := post(t, url+"/vote", VoteRequest{Query: ask.Query, Ranked: ranked, BestDoc: best}, &vr); code != http.StatusOK {
+	if code := post(t, url+"/v1/vote", VoteRequest{Query: ask.Query, Ranked: ranked, BestDoc: best}, &vr); code != http.StatusOK {
 		t.Fatalf("vote = %d", code)
 	}
 	return vr
@@ -53,7 +53,7 @@ func askAndVote(t *testing.T, url string, best int) VoteResponse {
 func askSignature(t *testing.T, url string) string {
 	t.Helper()
 	var ask AskResponse
-	if code := post(t, url+"/ask", AskRequest{Entities: map[string]int{"email": 2, "send": 1}}, &ask); code != http.StatusOK {
+	if code := post(t, url+"/v1/ask", AskRequest{Entities: map[string]int{"email": 2, "send": 1}}, &ask); code != http.StatusOK {
 		t.Fatalf("ask = %d", code)
 	}
 	var sb strings.Builder
@@ -65,7 +65,7 @@ func askSignature(t *testing.T, url string) string {
 
 func getStats(t *testing.T, url string) StatsBody {
 	t.Helper()
-	resp, err := http.Get(url + "/stats")
+	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 		askAndVote(t, ts.URL, i%3)
 	}
 	before := getStats(t, ts.URL)
-	if before.VotesAccepted != 5 || before.Flushes != 2 || before.VotesPending != 1 {
+	if before.Serving.VotesAccepted != 5 || before.Serving.Flushes != 2 || before.Serving.VotesPending != 1 {
 		t.Fatalf("pre-crash stats = %+v", before)
 	}
 	if before.Durability == nil || before.Durability.FsyncPolicy != "always" {
@@ -134,7 +134,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	defer ts2.Close()
 
 	after := getStats(t, ts2.URL)
-	if after.VotesAccepted != 5 || after.Flushes != 2 || after.VotesPending != 1 {
+	if after.Serving.VotesAccepted != 5 || after.Serving.Flushes != 2 || after.Serving.VotesPending != 1 {
 		t.Fatalf("post-recovery stats = %+v (want 5 votes, 2 flushes, 1 pending)", after)
 	}
 	if got := askSignature(t, ts2.URL); got != sig {
@@ -207,7 +207,7 @@ func TestAsyncFlushDrainsRecoveredBacklog(t *testing.T) {
 // durability layer.
 func TestCheckpointEndpoint(t *testing.T) {
 	_, plain := newTestServer(t, 1)
-	if code := post(t, plain.URL+"/checkpoint", struct{}{}, nil); code != http.StatusNotImplemented {
+	if code := post(t, plain.URL+"/v1/checkpoint", struct{}{}, nil); code != http.StatusNotImplemented {
 		t.Fatalf("checkpoint without data dir = %d, want 501", code)
 	}
 
@@ -230,7 +230,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 	defer ts.Close()
 	askAndVote(t, ts.URL, 0)
 	var out map[string]any
-	if code := post(t, ts.URL+"/checkpoint", struct{}{}, &out); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/checkpoint", struct{}{}, &out); code != http.StatusOK {
 		t.Fatalf("checkpoint = %d", code)
 	}
 	stats := getStats(t, ts.URL)
@@ -282,20 +282,20 @@ func TestPendingEvictionCounter(t *testing.T) {
 
 	asks := make([]AskResponse, 3)
 	for i := range asks {
-		if code := post(t, ts.URL+"/ask", AskRequest{Entities: map[string]int{"email": 1}}, &asks[i]); code != http.StatusOK {
+		if code := post(t, ts.URL+"/v1/ask", AskRequest{Entities: map[string]int{"email": 1}}, &asks[i]); code != http.StatusOK {
 			t.Fatalf("ask %d = %d", i, code)
 		}
 	}
 	stats := getStats(t, ts.URL)
-	if stats.PendingEvicted != 1 {
-		t.Fatalf("pending_evicted = %d, want 1 (3 asks into a 2-slot table)", stats.PendingEvicted)
+	if stats.Serving.PendingEvicted != 1 {
+		t.Fatalf("pending_evicted = %d, want 1 (3 asks into a 2-slot table)", stats.Serving.PendingEvicted)
 	}
 	// The oldest handle was evicted; voting on it must fail cleanly.
 	ranked := make([]int, len(asks[0].Results))
 	for i, r := range asks[0].Results {
 		ranked[i] = r.Doc
 	}
-	if code := post(t, ts.URL+"/vote", VoteRequest{Query: asks[0].Query, Ranked: ranked, BestDoc: ranked[0]}, nil); code != http.StatusBadRequest {
+	if code := post(t, ts.URL+"/v1/vote", VoteRequest{Query: asks[0].Query, Ranked: ranked, BestDoc: ranked[0]}, nil); code != http.StatusBadRequest {
 		t.Fatalf("vote on evicted handle = %d, want 400", code)
 	}
 }

@@ -47,7 +47,7 @@ func newReputationServer(t *testing.T, batch int) (*Server, *httptest.Server, *t
 func voteAs(t *testing.T, url, text, voter string) VoteResponse {
 	t.Helper()
 	var ask AskResponse
-	if code := post(t, url+"/ask", AskRequest{Text: text}, &ask); code != http.StatusOK {
+	if code := post(t, url+"/v1/ask", AskRequest{Text: text}, &ask); code != http.StatusOK {
 		t.Fatalf("ask = %d", code)
 	}
 	if len(ask.Results) < 2 {
@@ -58,7 +58,7 @@ func voteAs(t *testing.T, url, text, voter string) VoteResponse {
 		ranked[i] = r.Doc
 	}
 	var vr VoteResponse
-	if code := post(t, url+"/vote", VoteRequest{
+	if code := post(t, url+"/v1/vote", VoteRequest{
 		Query: ask.Query, Ranked: ranked, BestDoc: ranked[1], Voter: voter,
 	}, &vr); code != http.StatusOK {
 		t.Fatalf("vote = %d", code)
@@ -93,10 +93,10 @@ func TestVoteReputationWiring(t *testing.T) {
 
 	// Over-long voter IDs are rejected before any state changes.
 	var ask AskResponse
-	if code := post(t, ts.URL+"/ask", AskRequest{Text: "my email will not send"}, &ask); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/ask", AskRequest{Text: "my email will not send"}, &ask); code != http.StatusOK {
 		t.Fatalf("ask = %d", code)
 	}
-	if code := post(t, ts.URL+"/vote", VoteRequest{
+	if code := post(t, ts.URL+"/v1/vote", VoteRequest{
 		Query: ask.Query, Ranked: []int{0, 2}, BestDoc: 0,
 		Voter: strings.Repeat("x", 65),
 	}, nil); code != http.StatusBadRequest {
@@ -104,7 +104,7 @@ func TestVoteReputationWiring(t *testing.T) {
 	}
 
 	var stats StatsBody
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestVoteReputationWiring(t *testing.T) {
 
 	// The flush must exclude mallory's five pending votes and keep alice's.
 	var fr VoteResponse
-	if code := post(t, ts.URL+"/flush", struct{}{}, &fr); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/flush", struct{}{}, &fr); code != http.StatusOK {
 		t.Fatalf("flush = %d", code)
 	}
 	if fr.Report == nil {
@@ -172,7 +172,7 @@ func TestConcurrentVotersReputation(t *testing.T) {
 			voter := "voter-" + string(rune('a'+w))
 			for i := 0; i < 12; i++ {
 				var ask AskResponse
-				if code := post(t, ts.URL+"/ask", AskRequest{Text: texts[(w+i)%len(texts)]}, &ask); code != http.StatusOK {
+				if code := post(t, ts.URL+"/v1/ask", AskRequest{Text: texts[(w+i)%len(texts)]}, &ask); code != http.StatusOK {
 					t.Errorf("concurrent ask = %d", code)
 					return
 				}
@@ -181,7 +181,7 @@ func TestConcurrentVotersReputation(t *testing.T) {
 					ranked[j] = r.Doc
 				}
 				var vr VoteResponse
-				if code := post(t, ts.URL+"/vote", VoteRequest{
+				if code := post(t, ts.URL+"/v1/vote", VoteRequest{
 					Query: ask.Query, Ranked: ranked, BestDoc: ranked[i%len(ranked)], Voter: voter,
 				}, &vr); code != http.StatusOK {
 					t.Errorf("concurrent vote = %d", code)
@@ -201,7 +201,7 @@ func TestConcurrentVotersReputation(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := http.Get(ts.URL + "/stats")
+			resp, err := http.Get(ts.URL + "/v1/stats")
 			if err != nil {
 				return
 			}
@@ -217,7 +217,7 @@ func TestConcurrentVotersReputation(t *testing.T) {
 		t.Errorf("tracker saw %d voters, want %d", st.Voters, voters)
 	}
 	var fr VoteResponse
-	if code := post(t, ts.URL+"/flush", struct{}{}, &fr); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/flush", struct{}{}, &fr); code != http.StatusOK {
 		t.Fatalf("final flush = %d", code)
 	}
 }

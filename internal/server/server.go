@@ -2,8 +2,7 @@
 // a question, vote on the answers, and let the engine re-optimize the
 // knowledge graph in batches — the paper's interactive loop as a service.
 // Request and response bodies live in the public api package; every route
-// is mounted under /v1 with the unprefixed legacy paths kept as deprecated
-// aliases (Deprecation header, same bodies).
+// is mounted under /v1 only.
 //
 // The serving path is single-writer/many-reader. Reads (/v1/ask,
 // /v1/explain, /v1/stats) never take the writer gate: they rank against
@@ -361,8 +360,7 @@ func NewWithOptions(sys *qa.System, o Options) (*Server, error) {
 // docs-drift test (TestAPIDocsRoutesExist) checks the real mux.
 type Route struct {
 	Method string
-	// Path is the /v1-prefixed canonical path; every route also serves
-	// at the unprefixed deprecated alias.
+	// Path is the /v1-prefixed path.
 	Path string
 }
 
@@ -393,18 +391,13 @@ func Routes() []Route {
 	return out
 }
 
-// Handler returns the route mux: every route under /v1 plus the
-// unprefixed legacy aliases, which serve identical bodies but add a
-// Deprecation header and a successor-version Link. Both registrations
-// share one instrumented handler, so telemetry keeps its unversioned
-// route labels. The scrape and profiling endpoints are mounted
-// uninstrumented.
+// Handler returns the route mux: every route under /v1, instrumented
+// under its unversioned route label. The scrape and profiling endpoints
+// are mounted uninstrumented.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range routeTable {
-		h := s.instrument(rt.path, rt.h(s))
-		mux.HandleFunc(rt.method+" /v1"+rt.path, h)
-		mux.HandleFunc(rt.method+" "+rt.path, deprecated("/v1"+rt.path, h))
+		mux.HandleFunc(rt.method+" /v1"+rt.path, s.instrument(rt.path, rt.h(s)))
 	}
 	if s.tel != nil {
 		mux.Handle("GET /metrics", s.tel.Handler())
@@ -417,18 +410,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-// deprecated marks a legacy unprefixed route: same handler, plus the
-// headers that point clients at the /v1 successor (draft-ietf-httpapi-
-// deprecation-header style).
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	link := fmt.Sprintf("<%s>; rel=\"successor-version\"", successor)
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", link)
-		h(w, r)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -512,8 +493,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Stats assembles the /v1/stats body: the named sections (serving,
-// admission, reputation, durability, ppr, tenants, ...) plus the
-// deprecated flat serving fields mirrored for one release (API.md).
+// admission, reputation, durability, flush, shard, replica, tenants).
 func (s *Server) Stats() StatsBody {
 	body := s.StatsLocal()
 	if s.tenantsFn != nil {
@@ -528,8 +508,7 @@ func (s *Server) Stats() StatsBody {
 // summary itself.
 func (s *Server) StatsLocal() StatsBody {
 	snap := s.sys.Engine.Serving()
-	body := StatsBody{
-		Tenant:         s.tenant,
+	body := StatsBody{Tenant: s.tenant, Serving: &api.ServingStats{
 		Entities:       s.sys.Aug.Entities,
 		Edges:          snap.NumEdges(),
 		Documents:      len(s.sys.Answers()),
@@ -539,22 +518,11 @@ func (s *Server) StatsLocal() StatsBody {
 		Epoch:          snap.Epoch(),
 		PendingEvicted: s.pending.Evictions(),
 		Draining:       s.draining.Load(),
-	}
-	body.Serving = &api.ServingStats{
-		Entities:       body.Entities,
-		Edges:          body.Edges,
-		Documents:      body.Documents,
-		VotesAccepted:  body.VotesAccepted,
-		VotesPending:   body.VotesPending,
-		Flushes:        body.Flushes,
-		Epoch:          body.Epoch,
-		PendingEvicted: body.PendingEvicted,
-		Draining:       body.Draining,
-	}
+	}}
 	s.flushTotals.Lock()
 	ft := s.flushTotals.FlushStats
 	s.flushTotals.Unlock()
-	if body.Flushes > 0 {
+	if body.Serving.Flushes > 0 {
 		body.Flush = &ft
 	}
 	if s.admit != nil {

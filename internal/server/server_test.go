@@ -53,7 +53,7 @@ func post(t *testing.T, url string, body any, out any) int {
 
 func TestHealthAndStats(t *testing.T) {
 	_, ts := newTestServer(t, 1)
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestHealthAndStats(t *testing.T) {
 		t.Errorf("healthz = %d", resp.StatusCode)
 	}
 	var stats StatsBody
-	resp, err = http.Get(ts.URL + "/stats")
+	resp, err = http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestHealthAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats.Documents != 3 || stats.Entities == 0 || stats.Edges == 0 {
+	if stats.Serving.Documents != 3 || stats.Serving.Entities == 0 || stats.Serving.Edges == 0 {
 		t.Errorf("stats = %+v", stats)
 	}
 }
@@ -78,7 +78,7 @@ func TestHealthAndStats(t *testing.T) {
 func TestAskVoteLoop(t *testing.T) {
 	_, ts := newTestServer(t, 1)
 	var ask AskResponse
-	if code := post(t, ts.URL+"/ask", AskRequest{Text: "my email will not send"}, &ask); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/ask", AskRequest{Text: "my email will not send"}, &ask); code != http.StatusOK {
 		t.Fatalf("ask = %d", code)
 	}
 	if len(ask.Results) < 2 {
@@ -96,7 +96,7 @@ func TestAskVoteLoop(t *testing.T) {
 		ranked[i] = r.Doc
 	}
 	var vr VoteResponse
-	code := post(t, ts.URL+"/vote", VoteRequest{Query: ask.Query, Ranked: ranked, BestDoc: ranked[1]}, &vr)
+	code := post(t, ts.URL+"/v1/vote", VoteRequest{Query: ask.Query, Ranked: ranked, BestDoc: ranked[1]}, &vr)
 	if code != http.StatusOK {
 		t.Fatalf("vote = %d", code)
 	}
@@ -105,7 +105,7 @@ func TestAskVoteLoop(t *testing.T) {
 	}
 	// Re-ask: the voted document should now rank first.
 	var again AskResponse
-	if code := post(t, ts.URL+"/ask", AskRequest{Text: "my email will not send"}, &again); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/ask", AskRequest{Text: "my email will not send"}, &again); code != http.StatusOK {
 		t.Fatalf("re-ask = %d", code)
 	}
 	if again.Results[0].Doc != ranked[1] {
@@ -116,7 +116,7 @@ func TestAskVoteLoop(t *testing.T) {
 func TestVoteBatchingAndFlush(t *testing.T) {
 	_, ts := newTestServer(t, 5)
 	var ask AskResponse
-	if code := post(t, ts.URL+"/ask", AskRequest{Text: "send a message"}, &ask); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/ask", AskRequest{Text: "send a message"}, &ask); code != http.StatusOK {
 		t.Fatalf("ask = %d", code)
 	}
 	ranked := make([]int, len(ask.Results))
@@ -124,21 +124,21 @@ func TestVoteBatchingAndFlush(t *testing.T) {
 		ranked[i] = r.Doc
 	}
 	var vr VoteResponse
-	if code := post(t, ts.URL+"/vote", VoteRequest{Query: ask.Query, Ranked: ranked, BestDoc: ranked[0]}, &vr); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/vote", VoteRequest{Query: ask.Query, Ranked: ranked, BestDoc: ranked[0]}, &vr); code != http.StatusOK {
 		t.Fatalf("vote = %d", code)
 	}
 	if vr.Flushed || vr.Pending != 1 {
 		t.Errorf("buffered vote response = %+v", vr)
 	}
 	var fr VoteResponse
-	if code := post(t, ts.URL+"/flush", struct{}{}, &fr); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/flush", struct{}{}, &fr); code != http.StatusOK {
 		t.Fatalf("flush = %d", code)
 	}
 	if !fr.Flushed || fr.Pending != 0 || fr.Report == nil {
 		t.Errorf("flush response = %+v", fr)
 	}
 	// Idempotent empty flush.
-	if code := post(t, ts.URL+"/flush", struct{}{}, &fr); code != http.StatusOK || fr.Flushed {
+	if code := post(t, ts.URL+"/v1/flush", struct{}{}, &fr); code != http.StatusOK || fr.Flushed {
 		t.Errorf("empty flush: code=%d resp=%+v", code, fr)
 	}
 }
@@ -146,11 +146,11 @@ func TestVoteBatchingAndFlush(t *testing.T) {
 func TestExplainEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, 1)
 	var ask AskResponse
-	if code := post(t, ts.URL+"/ask", AskRequest{Entities: map[string]int{"email": 1}}, &ask); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/ask", AskRequest{Entities: map[string]int{"email": 1}}, &ask); code != http.StatusOK {
 		t.Fatalf("ask = %d", code)
 	}
 	var ex ExplainResponse
-	code := post(t, ts.URL+"/explain", ExplainRequest{Query: ask.Query, Doc: ask.Results[0].Doc, Top: 2}, &ex)
+	code := post(t, ts.URL+"/v1/explain", ExplainRequest{Query: ask.Query, Doc: ask.Results[0].Doc, Top: 2}, &ex)
 	if code != http.StatusOK {
 		t.Fatalf("explain = %d", code)
 	}
@@ -170,7 +170,7 @@ func TestExplainEndpoint(t *testing.T) {
 func TestErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t, 1)
 	// Bad JSON.
-	resp, err := http.Post(ts.URL+"/ask", "application/json", strings.NewReader("{nope"))
+	resp, err := http.Post(ts.URL+"/v1/ask", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,27 +179,27 @@ func TestErrorPaths(t *testing.T) {
 		t.Errorf("bad JSON ask = %d", resp.StatusCode)
 	}
 	// No entities.
-	if code := post(t, ts.URL+"/ask", AskRequest{Text: "nothing known"}, nil); code != http.StatusBadRequest {
+	if code := post(t, ts.URL+"/v1/ask", AskRequest{Text: "nothing known"}, nil); code != http.StatusBadRequest {
 		t.Errorf("unknown entities ask = %d", code)
 	}
 	// Unknown documents in vote.
-	if code := post(t, ts.URL+"/vote", VoteRequest{Query: 0, Ranked: []int{99}, BestDoc: 99}, nil); code != http.StatusBadRequest {
+	if code := post(t, ts.URL+"/v1/vote", VoteRequest{Query: 0, Ranked: []int{99}, BestDoc: 99}, nil); code != http.StatusBadRequest {
 		t.Errorf("unknown doc vote = %d", code)
 	}
 	// Best not in ranked.
-	if code := post(t, ts.URL+"/vote", VoteRequest{Query: 0, Ranked: []int{0}, BestDoc: 1}, nil); code != http.StatusBadRequest {
+	if code := post(t, ts.URL+"/v1/vote", VoteRequest{Query: 0, Ranked: []int{0}, BestDoc: 1}, nil); code != http.StatusBadRequest {
 		t.Errorf("inconsistent vote = %d", code)
 	}
 	// Negative weight.
-	if code := post(t, ts.URL+"/vote", VoteRequest{Query: 0, Ranked: []int{0, 1}, BestDoc: 0, Weight: -1}, nil); code != http.StatusBadRequest {
+	if code := post(t, ts.URL+"/v1/vote", VoteRequest{Query: 0, Ranked: []int{0, 1}, BestDoc: 0, Weight: -1}, nil); code != http.StatusBadRequest {
 		t.Errorf("negative weight vote = %d", code)
 	}
 	// Unknown doc in explain.
-	if code := post(t, ts.URL+"/explain", ExplainRequest{Query: 0, Doc: 99}, nil); code != http.StatusBadRequest {
+	if code := post(t, ts.URL+"/v1/explain", ExplainRequest{Query: 0, Doc: 99}, nil); code != http.StatusBadRequest {
 		t.Errorf("unknown doc explain = %d", code)
 	}
 	// Bad JSON on vote/explain.
-	for _, path := range []string{"/vote", "/explain"} {
+	for _, path := range []string{"/v1/vote", "/v1/explain"} {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{nope"))
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +210,7 @@ func TestErrorPaths(t *testing.T) {
 		}
 	}
 	// Wrong method.
-	resp, err = http.Get(ts.URL + "/ask")
+	resp, err = http.Get(ts.URL + "/v1/ask")
 	if err != nil {
 		t.Fatal(err)
 	}

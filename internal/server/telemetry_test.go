@@ -66,7 +66,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _ := newTelemetryServer(t, 1)
 
 	var ask AskResponse
-	if code := post(t, ts.URL+"/ask", AskRequest{Text: "my email will not send"}, &ask); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/ask", AskRequest{Text: "my email will not send"}, &ask); code != http.StatusOK {
 		t.Fatalf("ask = %d", code)
 	}
 	ranked := make([]int, len(ask.Results))
@@ -74,11 +74,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		ranked[i] = r.Doc
 	}
 	var vr VoteResponse
-	if code := post(t, ts.URL+"/vote", VoteRequest{Query: ask.Query, Ranked: ranked, BestDoc: ranked[1]}, &vr); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/vote", VoteRequest{Query: ask.Query, Ranked: ranked, BestDoc: ranked[1]}, &vr); code != http.StatusOK {
 		t.Fatalf("vote = %d", code)
 	}
 	// A request that errors (bad body) must land in the error counter.
-	if code := post(t, ts.URL+"/ask", AskRequest{}, nil); code != http.StatusBadRequest {
+	if code := post(t, ts.URL+"/v1/ask", AskRequest{}, nil); code != http.StatusBadRequest {
 		t.Fatalf("empty ask = %d, want 400", code)
 	}
 
@@ -146,7 +146,7 @@ func TestAskTrace(t *testing.T) {
 	_, ts, _ := newTelemetryServer(t, 4)
 
 	body := strings.NewReader(`{"text": "my email will not send"}`)
-	req, err := http.NewRequest("POST", ts.URL+"/ask?trace=1", body)
+	req, err := http.NewRequest("POST", ts.URL+"/v1/ask?trace=1", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAskTrace(t *testing.T) {
 
 	// Second identical ask: served from the snapshot rank cache.
 	var again AskResponse
-	if code := post(t, ts.URL+"/ask?trace=1", AskRequest{Text: "my email will not send"}, &again); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/ask?trace=1", AskRequest{Text: "my email will not send"}, &again); code != http.StatusOK {
 		t.Fatalf("re-ask = %d", code)
 	}
 	if again.Trace == nil || !again.Trace.CacheHit {
@@ -202,7 +202,7 @@ func TestAskTrace(t *testing.T) {
 
 	// Without trace=1 the body stays clean.
 	var plain AskResponse
-	if code := post(t, ts.URL+"/ask", AskRequest{Text: "my email will not send"}, &plain); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/ask", AskRequest{Text: "my email will not send"}, &plain); code != http.StatusOK {
 		t.Fatalf("plain ask = %d", code)
 	}
 	if plain.Trace != nil {
@@ -217,7 +217,7 @@ func TestMetricsMonotonicAcrossScrapes(t *testing.T) {
 
 	ask := func() {
 		var a AskResponse
-		if code := post(t, ts.URL+"/ask", AskRequest{Text: "configure outlook account"}, &a); code != http.StatusOK {
+		if code := post(t, ts.URL+"/v1/ask", AskRequest{Text: "configure outlook account"}, &a); code != http.StatusOK {
 			t.Fatalf("ask = %d", code)
 		}
 	}
@@ -278,7 +278,7 @@ func TestNoTelemetryServesNoMetrics(t *testing.T) {
 		t.Fatalf("/metrics without telemetry = %d, want 404", resp.StatusCode)
 	}
 	var ask AskResponse
-	if code := post(t, ts.URL+"/ask?trace=1", AskRequest{Text: "message delivery delays"}, &ask); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/ask?trace=1", AskRequest{Text: "message delivery delays"}, &ask); code != http.StatusOK {
 		t.Fatalf("ask = %d", code)
 	}
 	// The trace body still works: traces run on the real clock when no
@@ -313,7 +313,7 @@ func TestSlowRequestCounter(t *testing.T) {
 	defer ts.Close()
 
 	var ask AskResponse
-	if code := post(t, ts.URL+"/ask", AskRequest{Text: "email outbox"}, &ask); code != http.StatusOK {
+	if code := post(t, ts.URL+"/v1/ask", AskRequest{Text: "email outbox"}, &ask); code != http.StatusOK {
 		t.Fatalf("ask = %d", code)
 	}
 	exp := scrape(t, ts)

@@ -440,7 +440,7 @@ func TestReplicaServesAndRejectsWrites(t *testing.T) {
 		api.VoteRequest{Query: wAsk.Query, Ranked: ranked, BestDoc: ranked[1]}, &vr); st != http.StatusOK {
 		t.Fatalf("writer vote: http %d", st)
 	}
-	writerEpoch := getStats(t, wh.URL).Epoch
+	writerEpoch := getStats(t, wh.URL).Serving.Epoch
 
 	// The replica must catch up to the writer's epoch and then serve the
 	// writer's exact post-vote ranking.

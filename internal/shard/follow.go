@@ -25,7 +25,7 @@ const maxSnapshotBody = 256 << 20
 
 // FollowerOptions configures a Follower.
 type FollowerOptions struct {
-	// Writer is the followed writer's base URL.
+	// Writer is the followed writer's address, host:port or base URL.
 	Writer string
 	// Every is the poll interval (0 = 500ms).
 	Every time.Duration
@@ -58,6 +58,7 @@ func NewFollower(opt FollowerOptions) (*Follower, error) {
 	if opt.Apply == nil {
 		return nil, fmt.Errorf("shard: follower needs an Apply hook")
 	}
+	opt.Writer = baseURL(opt.Writer)
 	if opt.Every <= 0 {
 		opt.Every = 500 * time.Millisecond
 	}

@@ -28,7 +28,8 @@ import (
 type PusherOptions struct {
 	// Source is this shard's index, stamped into every push.
 	Source int
-	// Peers are the peer shard writers' base URLs (self excluded).
+	// Peers are the peer shard writers' addresses, host:port or base URL
+	// (self excluded).
 	Peers []string
 	// Export returns the current replicable weight set and its flush
 	// sequence, atomically (the server takes the writer gate). It backs
@@ -84,7 +85,7 @@ func NewPusher(opt PusherOptions) (*Pusher, error) {
 	}
 	p := &Pusher{opt: opt, client: client, stop: make(chan struct{})}
 	for _, addr := range opt.Peers {
-		pp := &peerPusher{addr: addr, ch: make(chan push, opt.QueueCap)}
+		pp := &peerPusher{addr: baseURL(addr), ch: make(chan push, opt.QueueCap)}
 		p.peers = append(p.peers, pp)
 		p.wg.Add(1)
 		go p.run(pp)

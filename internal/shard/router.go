@@ -35,7 +35,7 @@ import (
 const routerHandleCap = 1 << 16
 
 // ShardEndpoints names one shard's processes: the single writer and any
-// read-only snapshot replicas.
+// read-only snapshot replicas, each as host:port or base URL.
 type ShardEndpoints struct {
 	Writer   string
 	Replicas []string
@@ -157,12 +157,12 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 			return nil, fmt.Errorf("shard: shard %d has no writer endpoint", i)
 		}
 		sc := &shardClient{index: i}
-		w := &endpoint{addr: se.Writer, index: i}
+		w := &endpoint{addr: baseURL(se.Writer), index: i}
 		w.healthy.Store(true)
 		sc.writer = w
 		sc.eps = append(sc.eps, w)
 		for _, addr := range se.Replicas {
-			rep := &endpoint{addr: addr, index: i, replica: true}
+			rep := &endpoint{addr: baseURL(addr), index: i, replica: true}
 			rep.healthy.Store(true)
 			sc.eps = append(sc.eps, rep)
 		}

@@ -22,6 +22,7 @@ package shard
 import (
 	"fmt"
 	"os"
+	"strings"
 )
 
 // Map is the cluster's document→shard assignment. It is immutable after
@@ -102,4 +103,16 @@ func LoadFile(path string) (*Map, error) {
 		return nil, fmt.Errorf("shard: map file %s: %w", path, err)
 	}
 	return m, nil
+}
+
+// baseURL normalises a process address to the base URL request paths are
+// appended to: a scheme-less host:port gets http://, and trailing slashes
+// go, since a POST to http://h:p//v1/weights is answered with a redirect
+// that the client follows as a GET.
+func baseURL(addr string) string {
+	addr = strings.TrimRight(addr, "/")
+	if !strings.Contains(addr, "://") {
+		return "http://" + addr
+	}
+	return addr
 }

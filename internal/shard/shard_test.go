@@ -2,8 +2,13 @@ package shard
 
 import (
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"kgvote/api"
 	"kgvote/internal/core"
@@ -183,5 +188,44 @@ func TestNewMapValidates(t *testing.T) {
 	}
 	if _, err := NewMap(-2, 1); err == nil {
 		t.Fatal("negative shards accepted")
+	}
+}
+
+func TestBaseURL(t *testing.T) {
+	for _, in := range []string{"h:p", "h:p/", "http://h:p/", "http://h:p"} {
+		if got := baseURL(in); got != "http://h:p" {
+			t.Errorf("baseURL(%q) = %q, want http://h:p", in, got)
+		}
+	}
+	if got := baseURL("https://h:p//"); got != "https://h:p" {
+		t.Errorf("baseURL(https://h:p//) = %q, want https://h:p", got)
+	}
+}
+
+// TestPusherReachesTrailingSlashPeer: a peer named host:port/ must get
+// its push as a POST; an un-normalised base turns it into a redirected
+// GET that the peer's mux answers with 405.
+func TestPusherReachesTrailingSlashPeer(t *testing.T) {
+	var got atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/weights", func(w http.ResponseWriter, _ *http.Request) {
+		got.Add(1)
+		w.WriteHeader(http.StatusOK)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	p, err := NewPusher(PusherOptions{
+		Peers:  []string{strings.TrimPrefix(ts.URL, "http://") + "/"},
+		Export: func() ([]core.WeightChange, uint64) { return nil, 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Publish(1, []core.WeightChange{{From: 0, To: 1, Weight: 0.5}})
+	for deadline := time.Now().Add(2 * time.Second); got.Load() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("peer never received the push")
+		}
 	}
 }

@@ -68,15 +68,15 @@ func TestAPIDocsRoutesExist(t *testing.T) {
 	ts := httptest.NewServer(g.Handler())
 	defer ts.Close()
 
-	// Forward: probe every documented route — canonical, tenant-scoped,
-	// and legacy-alias forms — with an empty body. Handler-owned errors
+	// Forward: probe every documented route — canonical and
+	// tenant-scoped forms — with an empty body. Handler-owned errors
 	// (JSON envelopes) are fine; a text/plain mux miss is drift.
 	for _, r := range routes {
 		path := strings.ReplaceAll(r.path, "{tenant}", "acme")
 		path = strings.ReplaceAll(path, "{id}", "victim")
 		probes := []string{path}
 		if rest, ok := strings.CutPrefix(path, "/v1/"); ok && !strings.HasPrefix(rest, "admin") && !strings.HasPrefix(rest, "t/") {
-			probes = append(probes, "/v1/t/acme/"+rest, "/"+rest)
+			probes = append(probes, "/v1/t/acme/"+rest)
 		}
 		for _, p := range probes {
 			req, err := http.NewRequestWithContext(context.Background(), r.method, ts.URL+p, strings.NewReader(""))
@@ -116,8 +116,8 @@ func TestAPIDocsRoutesExist(t *testing.T) {
 		}
 	}
 
-	// The deprecation notes the contract promises must stay written down.
-	for _, needle := range []string{"Deprecation", "tenant_not_found", "tenant_quota_exceeded", "/v1/t/{tenant}"} {
+	// The tenant notes the contract promises must stay written down.
+	for _, needle := range []string{"tenant_not_found", "tenant_quota_exceeded", "/v1/t/{tenant}"} {
 		if !strings.Contains(doc, needle) {
 			t.Errorf("API.md lost its %q coverage", needle)
 		}

@@ -31,7 +31,7 @@ func AdminRoutes() []struct{ Method, Path string } {
 //   - /v1/t/{tenant}/...  → that tenant's server, path rewritten to /v1/...
 //   - /v1/admin/tenants   → create/list/delete tenants
 //   - everything else     → the default tenant, bit-identically to a
-//     single-tenant daemon (including /metrics, legacy aliases, pprof)
+//     single-tenant daemon (including /v1/..., /metrics and pprof)
 //
 // Tenant ids are parsed from the escaped path and unescaped before
 // validation, so %2F smuggling cannot splice path segments.
@@ -150,7 +150,7 @@ func (g *Registry) adminCreate(w http.ResponseWriter, r *http.Request) {
 		writeTenantErr(w, err, req.ID)
 		return
 	}
-	st := t.srv.StatsLocal()
+	st := t.srv.StatsLocal().Serving
 	writeJSON(w, http.StatusCreated, api.TenantSummary{
 		ID:        t.ID,
 		State:     "serving",

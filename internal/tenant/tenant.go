@@ -164,7 +164,7 @@ func (g *Registry) Dir(id string) string {
 // tenant recovers independently; a recovery failure quarantines that
 // tenant in the failed set and never aborts the others. Open returns
 // an error only if the default tenant cannot be built, since the
-// un-scoped /v1 alias cannot work without it.
+// un-scoped /v1 routes cannot work without it.
 func (g *Registry) Open(ids []string) error {
 	want := map[string]bool{DefaultID: true}
 	for _, id := range ids {
@@ -342,7 +342,7 @@ func (g *Registry) Summary() api.TenantsStats {
 
 	out := api.TenantsStats{Count: len(live), Failed: len(failed)}
 	for _, t := range live {
-		st := t.srv.StatsLocal()
+		st := t.srv.StatsLocal().Serving
 		out.Tenants = append(out.Tenants, api.TenantSummary{
 			ID:            t.ID,
 			State:         "serving",

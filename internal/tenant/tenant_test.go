@@ -146,7 +146,6 @@ func TestScopedRouting(t *testing.T) {
 		{"percent-encoded traversal", "/v1/t/%2e%2e/healthz", 404, api.CodeTenantNotFound},
 		{"no subpath", "/v1/t/acme", 404, ""},
 		{"unscoped default", "/v1/healthz", 200, ""},
-		{"legacy alias", "/healthz", 200, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,8 +183,31 @@ func TestScopedRouting(t *testing.T) {
 	if st.Tenant != "acme" {
 		t.Fatalf("scoped stats tenant = %q, want acme", st.Tenant)
 	}
-	if st.Serving == nil || st.Serving.Documents != st.Documents {
-		t.Fatalf("serving section missing or disagrees with flat fields: %+v", st.Serving)
+	if st.Serving == nil || st.Serving.Documents == 0 {
+		t.Fatalf("serving section missing or empty: %+v", st.Serving)
+	}
+}
+
+// TestUnprefixedRoutesNotFound pins the /v1-only surface: no route of
+// the server's table answers without its /v1 prefix, on a bare server
+// or through the registry's default tenant.
+func TestUnprefixedRoutesNotFound(t *testing.T) {
+	g := openRegistry(t, defaultSopts())
+	def, _ := g.Get(DefaultID)
+	for name, h := range map[string]http.Handler{"server": def.Server().Handler(), "registry": g.Handler()} {
+		for _, rt := range server.Routes() {
+			path := strings.TrimPrefix(rt.Path, "/v1")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(rt.Method, path, strings.NewReader("{}")))
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("%s: %s %s = %d, want 404", name, rt.Method, path, rec.Code)
+			}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/healthz", nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s: GET /v1/healthz = %d, want 200", name, rec.Code)
+		}
 	}
 }
 
